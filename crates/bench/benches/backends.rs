@@ -1,4 +1,4 @@
-//! Compute-backend A/B: `f32` vs `posit-emulated` vs `posit-quire` GEMMs at
+//! Compute-backend A/B: `f32` vs `posit-quire` GEMMs at
 //! the layer shapes of the LeNet and MLP reference models.
 //!
 //! Extra variants isolate where the quire path's time goes:
@@ -23,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use posit::{PositFormat, Rounding};
 use posit_models::{lenet_gemm_shapes, mlp_gemm_shapes, GemmShape};
 use posit_tensor::rng::Prng;
-use posit_tensor::{serial_scope, Backend, KStripMode, PositGemm, PositPlane};
+use posit_tensor::{serial_scope, Backend, KStripMode, Layout, PositGemm, PositPlane};
 use std::hint::black_box;
 
 fn bench_shapes() -> Vec<GemmShape> {
@@ -42,15 +42,18 @@ fn bench_backends(c: &mut Criterion) {
         let b: Vec<f32> = (0..k * n).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let mut g = c.benchmark_group(shape.label.clone());
         g.throughput(Throughput::Elements(shape.macs() as u64));
-        for backend in [
-            Backend::F32,
-            Backend::PositEmulated { fmt, rounding },
-            Backend::PositQuire { fmt, rounding },
-        ] {
+        for backend in [Backend::F32, Backend::PositQuire { fmt, rounding }] {
             g.bench_function(backend.name(), |bch| {
                 bch.iter(|| {
                     let mut out = vec![0.0f32; m * n];
-                    backend.gemm(m, k, n, black_box(&a), black_box(&b), &mut out);
+                    backend.prepare(black_box(&a)).gemm_with(
+                        Layout::AB,
+                        m,
+                        k,
+                        n,
+                        black_box(b.as_slice()),
+                        &mut out,
+                    );
                     out
                 })
             });

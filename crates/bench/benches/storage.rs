@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use posit::{PositFormat, Rounding};
 use posit_models::{lenet_gemm_shapes, mlp_gemm_shapes, GemmShape};
 use posit_tensor::rng::Prng;
-use posit_tensor::{Backend, Tensor};
+use posit_tensor::{Backend, Layout, Tensor};
 use std::hint::black_box;
 
 fn bench_shapes() -> Vec<GemmShape> {
@@ -43,11 +43,11 @@ fn bench_storage(c: &mut Criterion) {
         g.bench_function("resident-posit", |bch| {
             bch.iter(|| {
                 let mut out = vec![0.0f32; m * n];
-                backend.gemm_op(
+                backend.prepare_operand(black_box(&pa).operand()).gemm_with(
+                    Layout::AB,
                     m,
                     k,
                     n,
-                    black_box(&pa).operand(),
                     black_box(&pb).operand(),
                     &mut out,
                 );
@@ -66,7 +66,9 @@ fn bench_storage(c: &mut Criterion) {
                 let qa = black_box(&a).to_posit(fmt, 0, rounding).to_f32();
                 let qb = black_box(&b).to_posit(fmt, 0, rounding).to_f32();
                 let mut out = vec![0.0f32; m * n];
-                backend.gemm(m, k, n, qa.data(), qb.data(), &mut out);
+                backend
+                    .prepare(qa.data())
+                    .gemm_with(Layout::AB, m, k, n, qb.data(), &mut out);
                 out
             })
         });

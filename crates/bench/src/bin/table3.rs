@@ -6,15 +6,14 @@
 //!
 //! ```text
 //! cargo run --release -p posit-bench --bin table3 -- [cifar|imagenet|all] [--quick] \
-//!     [--backend=<f32|posit-emulated|posit-quire>] [--model=<resnet|lenet>] \
+//!     [--backend=<f32|posit-quire>] [--model=<resnet|lenet>] \
 //!     [--data-parallel=<lanes>] [--grad-accum=<steps>]
 //! ```
 //!
 //! `--backend` selects the GEMM kernel family for the posit runs: `f32`
-//! (the paper's simulation, default), `posit-emulated` (per-element
-//! quantization around f32 kernels) or `posit-quire` (decode-once posit
-//! kernels with exact quire accumulation — orders of magnitude slower,
-//! pair with `--quick`).
+//! (the paper's simulation, default) or `posit-quire` (decode-once posit
+//! kernels with exact quire accumulation — several times slower, pair
+//! with `--quick`).
 //!
 //! `--data-parallel`/`--grad-accum` shard the posit runs' mini-batches
 //! through the exact quire all-reduce (bit-identical to serial — see

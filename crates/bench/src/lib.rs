@@ -38,7 +38,7 @@ impl Scale {
     }
 }
 
-/// Parse a `--backend=<f32|posit-emulated|posit-quire>` flag (default
+/// Parse a `--backend=<f32|posit-quire>` flag (default
 /// `f32`) — the trainer-level A/B switch over GEMM kernel families.
 ///
 /// # Panics
@@ -48,9 +48,8 @@ pub fn backend_from_args(args: &[String]) -> ComputeBackend {
     args.iter()
         .find_map(|a| a.strip_prefix("--backend="))
         .map(|v| {
-            ComputeBackend::parse(v).unwrap_or_else(|| {
-                panic!("unknown backend '{v}' (expected f32|posit-emulated|posit-quire)")
-            })
+            ComputeBackend::parse(v)
+                .unwrap_or_else(|| panic!("unknown backend '{v}' (expected f32|posit-quire)"))
         })
         .unwrap_or_default()
 }

@@ -11,9 +11,6 @@ use std::fmt;
 ///
 /// * `F32`: the paper's GPU-simulation setup — GEMMs run in f32, posit
 ///   quantization happens only at the Fig. 3 tensor edges.
-/// * `PositEmulated`: additionally round the GEMM operands and results to
-///   the posit grid around an f32 kernel (per-element `P(·)` with double
-///   rounding and f32 accumulation).
 /// * `PositQuire`: the decode-once posit kernels with exact quire
 ///   accumulation and a single rounding per output element — the numerics
 ///   the paper's EMAC hardware argument is about.
@@ -22,18 +19,15 @@ pub enum ComputeBackend {
     /// f32 kernels (default; the paper's simulation).
     #[default]
     F32,
-    /// Quantize→f32-GEMM→requantize sandwich.
-    PositEmulated,
     /// Decode-once posit GEMM with quire accumulation.
     PositQuire,
 }
 
 impl ComputeBackend {
-    /// Parse a CLI flag value (`f32` | `posit-emulated` | `posit-quire`).
+    /// Parse a CLI flag value (`f32` | `posit-quire`).
     pub fn parse(s: &str) -> Option<ComputeBackend> {
         match s {
             "f32" => Some(ComputeBackend::F32),
-            "posit-emulated" => Some(ComputeBackend::PositEmulated),
             "posit-quire" => Some(ComputeBackend::PositQuire),
             _ => None,
         }
@@ -43,7 +37,6 @@ impl ComputeBackend {
     pub fn name(&self) -> &'static str {
         match self {
             ComputeBackend::F32 => "f32",
-            ComputeBackend::PositEmulated => "posit-emulated",
             ComputeBackend::PositQuire => "posit-quire",
         }
     }
@@ -52,7 +45,6 @@ impl ComputeBackend {
     pub fn tensor_backend(&self, fmt: PositFormat, rounding: Rounding) -> Backend {
         match self {
             ComputeBackend::F32 => Backend::F32,
-            ComputeBackend::PositEmulated => Backend::PositEmulated { fmt, rounding },
             ComputeBackend::PositQuire => Backend::PositQuire { fmt, rounding },
         }
     }
@@ -400,8 +392,7 @@ impl TrainConfig {
                 })?;
             if quant.backend != ComputeBackend::PositQuire {
                 return Err(ConfigError::DataParallelUnsupported {
-                    reason:
-                        "requires the posit-quire backend (f32/emulated sums are order-dependent)",
+                    reason: "requires the posit-quire backend (f32 sums are order-dependent)",
                 });
             }
             if quant.rounding == Rounding::Stochastic {
@@ -550,11 +541,7 @@ mod tests {
 
     #[test]
     fn compute_backend_flag_round_trip() {
-        for b in [
-            ComputeBackend::F32,
-            ComputeBackend::PositEmulated,
-            ComputeBackend::PositQuire,
-        ] {
+        for b in [ComputeBackend::F32, ComputeBackend::PositQuire] {
             assert_eq!(ComputeBackend::parse(b.name()), Some(b));
         }
         assert_eq!(ComputeBackend::parse("fp64"), None);
@@ -640,11 +627,11 @@ mod tests {
             fp32.validate(),
             Err(ConfigError::DataParallelUnsupported { .. })
         ));
-        let emulated = TrainConfig::cifar_scaled(4, 3)
-            .with_quant(QuantSpec::cifar_paper().with_backend(ComputeBackend::PositEmulated))
+        let f32_kernels = TrainConfig::cifar_scaled(4, 3)
+            .with_quant(QuantSpec::cifar_paper().with_backend(ComputeBackend::F32))
             .with_grad_accum(2);
         assert!(matches!(
-            emulated.validate(),
+            f32_kernels.validate(),
             Err(ConfigError::DataParallelUnsupported { .. })
         ));
         let sr = TrainConfig::cifar_scaled(4, 3)

@@ -166,8 +166,7 @@ pub struct Quantized {
     /// — `P(x/Sf)·Sf` reaches the quire exactly, with no f32 staging buffer
     /// and no re-rounding. Operands that reach a kernel of a *different*
     /// format (the backward GEMMs mix the weight/activation grid with the
-    /// error grid) still decode→re-encode onto the kernel's grid, as do
-    /// f32-staged operands under the emulated backend.
+    /// error grid) still decode→re-encode onto the kernel's grid.
     fwd_backend: posit_tensor::Backend,
     bwd_backend: posit_tensor::Backend,
     /// True when the Fig. 3 edges should produce packed posit tensors

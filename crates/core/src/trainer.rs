@@ -402,38 +402,6 @@ impl Trainer {
         self.run_impl(train, test, config, store, observer)
     }
 
-    /// Old observer entry point.
-    #[deprecated(note = "use Trainer::run(RunOptions::new(train, test, config).on_epoch(f))")]
-    pub fn run_with(
-        &mut self,
-        train: &Dataset,
-        test: &Dataset,
-        config: &TrainConfig,
-        on_epoch: impl FnMut(&EpochStats),
-    ) -> TrainReport {
-        self.run(RunOptions::new(train, test, config).on_epoch(on_epoch))
-            .expect("no store, no store errors")
-    }
-
-    /// Old checkpointing entry point.
-    #[deprecated(
-        note = "use Trainer::run(RunOptions::new(train, test, config).resumable(store).on_epoch(f))"
-    )]
-    pub fn run_resumable(
-        &mut self,
-        train: &Dataset,
-        test: &Dataset,
-        config: &TrainConfig,
-        store: &dyn Store,
-        on_epoch: impl FnMut(&EpochStats),
-    ) -> Result<TrainReport, StoreError> {
-        self.run(
-            RunOptions::new(train, test, config)
-                .resumable(store)
-                .on_epoch(on_epoch),
-        )
-    }
-
     fn run_impl(
         &mut self,
         train: &Dataset,
@@ -1015,24 +983,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_entry_points_still_match_the_unified_run() {
-        let (train, test) = tiny_data();
-        let cfg = TrainConfig::cifar_scaled(4, 1).with_seed(2);
-        let a = Trainer::resnet(&cfg).run_with(&train, &test, &cfg, |_| {});
-        let b = Trainer::resnet(&cfg)
-            .run(RunOptions::new(&train, &test, &cfg))
-            .unwrap();
-        assert_eq!(a.final_test_acc.to_bits(), b.final_test_acc.to_bits());
-        use posit_store::MemoryStore;
-        let store = MemoryStore::new();
-        let c = Trainer::resnet(&cfg)
-            .run_resumable(&train, &test, &cfg, &store, |_| {})
-            .unwrap();
-        assert_eq!(a.final_test_acc.to_bits(), c.final_test_acc.to_bits());
-    }
-
-    #[test]
     fn phase_schedule() {
         let cfg = TrainConfig::cifar_scaled(4, 10).with_quant(QuantSpec::cifar_paper());
         assert_eq!(Trainer::phase_for_epoch(&cfg, 0), Phase::Calibrate); // warmup=1
@@ -1325,8 +1275,8 @@ mod tests {
     #[test]
     fn checkpointing_does_not_perturb_the_run() {
         use posit_store::MemoryStore;
-        // run_resumable over an empty store must produce exactly what
-        // run_with produces — saving checkpoints consumes no randomness.
+        // A resumable run over an empty store must produce exactly what a
+        // plain run produces — saving checkpoints consumes no randomness.
         let (train, test) = tiny_data();
         let cfg = TrainConfig::cifar_scaled(4, 2)
             .with_seed(5)

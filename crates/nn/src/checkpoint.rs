@@ -6,8 +6,7 @@
 //!   (little-endian): `magic "PDNN" | u32 version | u32 count | count ×
 //!   entry`, each entry `u32 name_len | name bytes | u32 ndim | ndim × u64
 //!   dims | f32 data…`. Always f32: posit-resident masters serialize
-//!   through their exact f32 view. [`save`] / [`save_to`] produce it and
-//!   [`load`] still reads it.
+//!   through their exact f32 view.
 //!
 //! * **v2** — the chunked store-backed format: each parameter is a
 //!   `posit-store` array under `{prefix}/params/{name}`, so packed
@@ -15,16 +14,16 @@
 //!   words + scale exponent, no f32 round trip, 4×+ smaller for posit8)
 //!   and restore bit-identically. Non-parameter layer state
 //!   ([`Layer::state_entries`]: BN running stats, calibration scales)
-//!   rides along under `{prefix}/state/…`.
+//!   rides along under `{prefix}/state/…`. Flattened to bytes, a v2
+//!   checkpoint is a `PDNN`-v2 container around the store keys (`u32
+//!   count`, then per key `u32 key_len | key | u64 val_len | val`).
 //!
 //! The public surface is one façade pair: [`write()`]`(net, sink, Version)`
 //! chooses the format explicitly and [`read`]`(net, source)` sniffs it,
 //! where [`Sink`]/[`Source`] abstract the medium (a byte buffer or a
 //! [`Store`] prefix). Every (format × medium) cell works: a v1 blob can
 //! land in a store (under one `{prefix}/v1.pdnn` key) and a v2 checkpoint
-//! can flatten into a single `PDNN`-v2 byte blob. The original five entry
-//! points — `save`, `save_v2`, `save_to_store`, `load`,
-//! `load_from_store` — remain as thin deprecated wrappers.
+//! can flatten into a single `PDNN`-v2 byte blob.
 
 use crate::layer::Layer;
 use posit_store::{read_tensor, write_tensor, MemoryStore, Store, StoreError};
@@ -90,16 +89,13 @@ impl From<StoreError> for LoadError {
 // v1: flat f32 blob
 // ---------------------------------------------------------------------------
 
-/// Stream every named parameter of a network into a writer (v1 format).
-///
-/// This is the allocation-lean path: nothing larger than one parameter's
-/// f32 view is materialized at a time, so checkpointing a large net into a
-/// file does not build a second full-size copy in memory.
+/// Stream every named parameter of a network into a writer (v1 format),
+/// materializing nothing larger than one parameter's f32 view at a time.
 ///
 /// # Errors
 ///
 /// Propagates writer errors.
-pub fn save_to<W: Write>(net: &dyn Layer, w: &mut W) -> io::Result<()> {
+fn save_to<W: Write>(net: &dyn Layer, w: &mut W) -> io::Result<()> {
     let params = net.params();
     w.write_all(MAGIC)?;
     w.write_all(&VERSION.to_le_bytes())?;
@@ -129,16 +125,17 @@ pub fn save_to<W: Write>(net: &dyn Layer, w: &mut W) -> io::Result<()> {
     Ok(())
 }
 
-/// Serialize every named parameter of a network (v1 byte blob).
-#[deprecated(note = "use checkpoint::write(net, Sink::Bytes(&mut buf), Version::V1)")]
-pub fn save(net: &dyn Layer) -> Vec<u8> {
-    v1_blob(net)
-}
-
-fn v1_blob(net: &dyn Layer) -> Vec<u8> {
+/// The v1 byte blob of `net`, with its [`SaveStats`].
+fn v1_blob(net: &dyn Layer) -> (Vec<u8>, SaveStats) {
     let mut out = Vec::new();
     save_to(net, &mut out).expect("Vec writer cannot fail");
-    out
+    let stats = SaveStats {
+        params: net.params().len(),
+        chunks: 0,
+        param_bytes: out.len(),
+        state_bytes: 0,
+    };
+    (out, stats)
 }
 
 struct Cursor<'a>(&'a [u8]);
@@ -231,7 +228,7 @@ fn load_v1(net: &mut dyn Layer, mut cur: Cursor<'_>) -> Result<(), LoadError> {
 // v2: store-backed, posit-native
 // ---------------------------------------------------------------------------
 
-/// Statistics from one [`save_to_store`] call.
+/// Statistics from one [`write()`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SaveStats {
     /// Parameters written.
@@ -256,29 +253,9 @@ fn state_key(prefix: &str, key: &str) -> String {
     format!("{prefix}/state/{key}")
 }
 
-/// Write a v2 checkpoint of `net` under `prefix` in `store`.
-///
-/// Every parameter becomes a chunked array: packed posit masters are
-/// stored natively (bit-packed code words + format + scale exponent —
-/// the paper's 4× footprint win lands on disk), f32 parameters as
-/// shuffled f32 chunks; everything carries CRC trailers. Layer state
-/// entries ride along verbatim. The manifest is committed last, so a
-/// half-written checkpoint is recognizably incomplete.
-///
-/// # Errors
-///
-/// Propagates store failures. Parameter names must fit the store's key
-/// grammar (`[A-Za-z0-9._-]` segments — the PyTorch-style dotted names all
-/// do).
-#[deprecated(note = "use checkpoint::write(net, Sink::Store { store, prefix }, Version::V2)")]
-pub fn save_to_store(
-    net: &dyn Layer,
-    store: &dyn Store,
-    prefix: &str,
-) -> Result<SaveStats, StoreError> {
-    store_write(net, store, prefix)
-}
-
+/// Write a v2 checkpoint of `net` under `prefix` in `store`; the manifest
+/// is committed last, so a half-written checkpoint is recognizably
+/// incomplete.
 fn store_write(net: &dyn Layer, store: &dyn Store, prefix: &str) -> Result<SaveStats, StoreError> {
     let mut stats = SaveStats {
         params: 0,
@@ -340,29 +317,8 @@ fn read_manifest(store: &dyn Store, prefix: &str) -> Result<(Vec<String>, Vec<St
     Ok((params, state))
 }
 
-/// Restore a v2 checkpoint written by [`save_to_store`].
-///
-/// Parameters restore into the exact storage domain they were saved from:
-/// a packed posit master comes back **bit-identical** (code words, format,
-/// scale exponent), an f32 parameter comes back as its exact bytes. Layer
-/// state entries present in the checkpoint are pushed back through
-/// [`Layer::restore_state_entries`]. Extra checkpoint entries are ignored
-/// (forward-compatible with partial nets); every net parameter must be
-/// present with a matching shape, and nothing is mutated on error.
-///
-/// # Errors
-///
-/// [`LoadError`] on missing manifest/parameters, shape mismatches, or
-/// store/codec failures.
-#[deprecated(note = "use checkpoint::read(net, Source::Store { store, prefix })")]
-pub fn load_from_store(
-    net: &mut dyn Layer,
-    store: &dyn Store,
-    prefix: &str,
-) -> Result<(), LoadError> {
-    store_read(net, store, prefix)
-}
-
+/// Restore a v2 checkpoint under `prefix` in `store`, validating
+/// everything before mutating anything.
 fn store_read(net: &mut dyn Layer, store: &dyn Store, prefix: &str) -> Result<(), LoadError> {
     let (param_names, state_keys) = read_manifest(store, prefix)?;
     let available: std::collections::HashSet<&String> = param_names.iter().collect();
@@ -412,16 +368,8 @@ fn store_read(net: &mut dyn Layer, store: &dyn Store, prefix: &str) -> Result<()
     Ok(())
 }
 
-/// Serialize a v2 checkpoint as a single byte blob: a `PDNN`-v2 container
-/// around the store keys (`u32 count`, then per key `u32 key_len | key |
-/// u64 val_len | val`). The drop-in packed sibling of [`save`] — same
-/// call shape, ~4× smaller for posit-resident masters — and [`load`]
-/// accepts both.
-#[deprecated(note = "use checkpoint::write(net, Sink::Bytes(&mut buf), Version::V2)")]
-pub fn save_v2(net: &dyn Layer) -> Vec<u8> {
-    v2_blob(net).0
-}
-
+/// The v2 checkpoint of `net` flattened into a `PDNN`-v2 byte blob, with
+/// its [`SaveStats`].
 fn v2_blob(net: &dyn Layer) -> (Vec<u8>, SaveStats) {
     let store = MemoryStore::new();
     let stats = store_write(net, &store, "ckpt").expect("in-memory store cannot fail");
@@ -469,21 +417,7 @@ fn load_v2(net: &mut dyn Layer, mut cur: Cursor<'_>) -> Result<(), LoadError> {
     store_read(net, &store, "ckpt")
 }
 
-/// Restore parameters by name into a network, from a v1 or v2 blob.
-///
-/// Every parameter of `net` must be present in the checkpoint with a
-/// matching shape; extra checkpoint entries are ignored (forward-compatible
-/// with partial nets). Trailing bytes after the last entry are rejected.
-///
-/// # Errors
-///
-/// Returns [`LoadError`] on malformed input, missing parameters or shape
-/// mismatches; the network is unmodified on error.
-#[deprecated(note = "use checkpoint::read(net, Source::Bytes(bytes))")]
-pub fn load(net: &mut dyn Layer, bytes: &[u8]) -> Result<(), LoadError> {
-    blob_read(net, bytes)
-}
-
+/// Restore from a `PDNN` blob, dispatching on its header version.
 fn blob_read(net: &mut dyn Layer, bytes: &[u8]) -> Result<(), LoadError> {
     let mut cur = Cursor(bytes);
     if cur.take(4).ok() != Some(MAGIC.as_slice()) {
@@ -554,35 +488,30 @@ fn v1_key(prefix: &str) -> String {
 /// posit-native) and medium (bytes vs store) vary independently, and every
 /// combination round-trips through [`read`].
 ///
+/// In v2 every parameter becomes a chunked array: packed posit masters are
+/// stored natively (bit-packed code words + format + scale exponent — the
+/// paper's 4× footprint win lands on disk), f32 parameters as shuffled f32
+/// chunks; everything carries CRC trailers. Layer state entries ride along
+/// verbatim. In a store the manifest is committed last, so a half-written
+/// checkpoint is recognizably incomplete.
+///
 /// # Errors
 ///
-/// Propagates store failures; byte sinks cannot fail.
+/// Propagates store failures; byte sinks cannot fail. Parameter names
+/// must fit the store's key grammar (`[A-Za-z0-9._-]` segments — the
+/// PyTorch-style dotted names all do).
 pub fn write(net: &dyn Layer, sink: Sink<'_>, version: Version) -> Result<SaveStats, StoreError> {
     match (sink, version) {
-        (Sink::Bytes(buf), Version::V1) => {
-            let blob = v1_blob(net);
-            let stats = SaveStats {
-                params: net.params().len(),
-                chunks: 0,
-                param_bytes: blob.len(),
-                state_bytes: 0,
+        (Sink::Bytes(buf), version) => {
+            let (blob, stats) = match version {
+                Version::V1 => v1_blob(net),
+                Version::V2 => v2_blob(net),
             };
-            buf.extend_from_slice(&blob);
-            Ok(stats)
-        }
-        (Sink::Bytes(buf), Version::V2) => {
-            let (blob, stats) = v2_blob(net);
             buf.extend_from_slice(&blob);
             Ok(stats)
         }
         (Sink::Store { store, prefix }, Version::V1) => {
-            let blob = v1_blob(net);
-            let stats = SaveStats {
-                params: net.params().len(),
-                chunks: 0,
-                param_bytes: blob.len(),
-                state_bytes: 0,
-            };
+            let (blob, stats) = v1_blob(net);
             store.set(&v1_key(prefix), &blob)?;
             Ok(stats)
         }
@@ -592,12 +521,22 @@ pub fn write(net: &dyn Layer, sink: Sink<'_>, version: Version) -> Result<SaveSt
 
 /// Restore a checkpoint into `net` from `source`, sniffing the format.
 ///
-/// Byte sources dispatch on the `PDNN` header version; store sources
-/// prefer a v2 manifest under the prefix and fall back to a v1 blob at
-/// `{prefix}/v1.pdnn`. Restore semantics follow the format: v2 lands
-/// parameters in their saved storage domain bit-identically and replays
-/// layer state, v1 always lands dense f32. Every parameter of `net` must
-/// be present with a matching shape; nothing is mutated on error.
+/// Byte sources dispatch on the `PDNN` header version (trailing bytes
+/// after the last entry are rejected); store sources prefer a v2 manifest
+/// under the prefix and fall back to a v1 blob at `{prefix}/v1.pdnn`.
+///
+/// Restore semantics follow the format. v2 lands every parameter in the
+/// exact storage domain it was saved from: a packed posit master comes
+/// back **bit-identical** (code words, format, scale exponent), an f32
+/// parameter as its exact bytes, and the checkpoint's layer state entries
+/// are pushed back through [`Layer::restore_state_entries`]. v1 always
+/// lands dense f32 (a posit-resident master is re-packed at the next
+/// quantized forward).
+///
+/// Every parameter of `net` must be present with a matching shape; extra
+/// checkpoint entries are ignored (forward-compatible with partial nets).
+/// Everything is validated before anything is mutated, so nothing is
+/// mutated on error.
 ///
 /// # Errors
 ///
@@ -622,7 +561,6 @@ pub fn read(net: &mut dyn Layer, source: Source<'_>) -> Result<(), LoadError> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the old names are exercised on purpose
     use super::*;
     use crate::bn::BatchNorm2d;
     use crate::layer::Sequential;
@@ -645,6 +583,25 @@ mod tests {
             ))
     }
 
+    /// `net` as a byte blob in `version`.
+    fn blob(net: &dyn Layer, version: Version) -> Vec<u8> {
+        let mut out = Vec::new();
+        write(net, Sink::Bytes(&mut out), version).expect("byte sinks cannot fail");
+        out
+    }
+
+    fn read_bytes(net: &mut dyn Layer, bytes: &[u8]) -> Result<(), LoadError> {
+        read(net, Source::Bytes(bytes))
+    }
+
+    fn write_store(net: &dyn Layer, store: &dyn Store, prefix: &str) -> SaveStats {
+        write(net, Sink::Store { store, prefix }, Version::V2).unwrap()
+    }
+
+    fn read_store(net: &mut dyn Layer, store: &dyn Store, prefix: &str) -> Result<(), LoadError> {
+        read(net, Source::Store { store, prefix })
+    }
+
     #[test]
     fn roundtrip_with_posit_resident_params() {
         use posit::{PositFormat, Rounding};
@@ -662,14 +619,14 @@ mod tests {
             .iter()
             .map(|p| p.value.dense().data().to_vec())
             .collect();
-        let bytes = save(&a);
+        let bytes = blob(&a, Version::V1);
         let mut b = net(2);
         // Load into a packed net too: the restore must not panic on the
         // posit-domain destination.
         for p in b.params_mut() {
             p.value = p.value.to_posit(fmt, 0, Rounding::NearestEven);
         }
-        load(&mut b, &bytes).unwrap();
+        read_bytes(&mut b, &bytes).unwrap();
         for (p, want) in b.params().iter().zip(&grid) {
             assert!(!p.value.is_posit(), "v1 load lands in the f32 domain");
             assert_eq!(p.value.data(), &want[..]);
@@ -684,9 +641,9 @@ mod tests {
         for (i, p) in a.params_mut().into_iter().enumerate() {
             p.value = p.value.to_posit(fmt, i as i32 - 1, Rounding::NearestEven);
         }
-        let bytes = save_v2(&a);
+        let bytes = blob(&a, Version::V2);
         let mut b = net(2);
-        load(&mut b, &bytes).unwrap();
+        read_bytes(&mut b, &bytes).unwrap();
         for (pa, pb) in a.params().iter().zip(b.params()) {
             assert_eq!(pa.name, pb.name);
             // Native restore: the packed plane survives verbatim.
@@ -715,8 +672,8 @@ mod tests {
                 .value
                 .to_posit(PositFormat::of(8, 1), 0, Rounding::NearestEven);
         }
-        let v1 = save(&a).len();
-        let v2 = save_v2(&a).len();
+        let v1 = blob(&a, Version::V1).len();
+        let v2 = blob(&a, Version::V2).len();
         assert!(
             v2 * 3 <= v1,
             "v2 ({v2} B) must be at least 3x smaller than v1 ({v1} B)"
@@ -745,7 +702,7 @@ mod tests {
             a.params()[0]
                 .value
                 .to_posit(PositFormat::of(8, 2), 1, Rounding::NearestEven);
-        let bytes = save_v2(&a);
+        let bytes = blob(&a, Version::V2);
 
         let mut b = Sequential::new("net").push(Linear::new(
             "fc1",
@@ -753,7 +710,7 @@ mod tests {
             Some(Tensor::zeros(&[4])),
         ));
         b.push_boxed(Box::new(BatchNorm2d::new("bn1", 3)));
-        load(&mut b, &bytes).unwrap();
+        read_bytes(&mut b, &bytes).unwrap();
         assert_eq!(
             b.params()[0].value.posit_bits(),
             a.params()[0].value.posit_bits()
@@ -778,14 +735,14 @@ mod tests {
         let mut a = Sequential::new("net");
         a.push_boxed(Box::new(bn));
         let store = MemoryStore::new();
-        save_to_store(&a, &store, "ck").unwrap();
+        write_store(&a, &store, "ck");
         let key = "ck/state/bn1.running_var";
         let mut bytes = store.get(key).unwrap().unwrap();
         bytes[0] ^= 0x01;
         store.set(key, &bytes).unwrap();
         let mut b = Sequential::new("net");
         b.push_boxed(Box::new(BatchNorm2d::new("bn1", 2)));
-        match load_from_store(&mut b, &store, "ck") {
+        match read_store(&mut b, &store, "ck") {
             Err(LoadError::Malformed(m)) => assert!(m.contains("checksum"), "{m}"),
             other => panic!("expected checksum failure, got {other:?}"),
         }
@@ -804,11 +761,11 @@ mod tests {
                 .value
                 .to_posit(PositFormat::of(8, 0), 0, Rounding::NearestEven);
         }
-        let stats = save_to_store(&a, &store, "run1").unwrap();
+        let stats = write_store(&a, &store, "run1");
         assert_eq!(stats.params, 3);
         assert!(stats.param_bytes > 0);
         let mut b = net(4);
-        load_from_store(&mut b, &store, "run1").unwrap();
+        read_store(&mut b, &store, "run1").unwrap();
         for (pa, pb) in a.params().iter().zip(b.params()) {
             assert_eq!(pa.value.posit_bits(), pb.value.posit_bits());
         }
@@ -922,31 +879,12 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_wrappers_still_match_the_facade() {
-        // The five old names must keep producing byte-identical artifacts.
-        let a = net(1);
-        let mut v1 = Vec::new();
-        write(&a, Sink::Bytes(&mut v1), Version::V1).unwrap();
-        assert_eq!(save(&a), v1);
-        let mut v2 = Vec::new();
-        write(&a, Sink::Bytes(&mut v2), Version::V2).unwrap();
-        assert_eq!(save_v2(&a), v2);
-        let mut b = net(2);
-        load(&mut b, &v1).unwrap();
-        let mut c = net(3);
-        read(&mut c, Source::Bytes(&v1)).unwrap();
-        for (pb, pc) in b.params().iter().zip(c.params()) {
-            assert_eq!(pb.value.data(), pc.value.data());
-        }
-    }
-
-    #[test]
     fn roundtrip() {
         let a = net(1);
-        let bytes = save(&a);
+        let bytes = blob(&a, Version::V1);
         let mut b = net(2);
         assert_ne!(a.params()[0].value.data(), b.params()[0].value.data());
-        load(&mut b, &bytes).unwrap();
+        read_bytes(&mut b, &bytes).unwrap();
         for (pa, pb) in a.params().iter().zip(b.params()) {
             assert_eq!(pa.name, pb.name);
             assert_eq!(pa.value.data(), pb.value.data());
@@ -958,29 +896,29 @@ mod tests {
         let a = net(1);
         let mut streamed = Vec::new();
         save_to(&a, &mut streamed).unwrap();
-        assert_eq!(streamed, save(&a));
+        assert_eq!(streamed, blob(&a, Version::V1));
     }
 
     #[test]
     fn rejects_garbage_truncation_and_trailing_bytes() {
         let mut n = net(1);
         assert!(matches!(
-            load(&mut n, b"nonsense"),
+            read_bytes(&mut n, b"nonsense"),
             Err(LoadError::Malformed(_))
         ));
-        for bytes in [save(&n), save_v2(&n)] {
+        for bytes in [blob(&n, Version::V1), blob(&n, Version::V2)] {
             assert!(matches!(
-                load(&mut n, &bytes[..bytes.len() - 3]),
+                read_bytes(&mut n, &bytes[..bytes.len() - 3]),
                 Err(LoadError::Malformed(_))
             ));
             // Bytes past the last entry are framing damage, not slack.
             let mut padded = bytes.clone();
             padded.extend_from_slice(b"JUNK");
             assert!(matches!(
-                load(&mut n, &padded),
+                read_bytes(&mut n, &padded),
                 Err(LoadError::Malformed(m)) if m.contains("trailing")
             ));
-            assert!(load(&mut n, &bytes).is_ok());
+            assert!(read_bytes(&mut n, &bytes).is_ok());
         }
     }
 
@@ -992,13 +930,16 @@ mod tests {
         bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut n = net(1);
-        assert!(matches!(load(&mut n, &bytes), Err(LoadError::Malformed(_))));
+        assert!(matches!(
+            read_bytes(&mut n, &bytes),
+            Err(LoadError::Malformed(_))
+        ));
         let mut bytes2 = Vec::new();
         bytes2.extend_from_slice(MAGIC);
         bytes2.extend_from_slice(&VERSION_V2.to_le_bytes());
         bytes2.extend_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            load(&mut n, &bytes2),
+            read_bytes(&mut n, &bytes2),
             Err(LoadError::Malformed(_))
         ));
     }
@@ -1006,7 +947,7 @@ mod tests {
     #[test]
     fn rejects_shape_mismatch_without_mutation() {
         let a = net(1);
-        for bytes in [save(&a), save_v2(&a)] {
+        for bytes in [blob(&a, Version::V1), blob(&a, Version::V2)] {
             let mut rng = Prng::seed(3);
             let mut other = Sequential::new("net").push(Linear::new(
                 "fc1",
@@ -1015,7 +956,7 @@ mod tests {
             ));
             let before: Vec<f32> = other.params()[0].value.data().to_vec();
             assert!(matches!(
-                load(&mut other, &bytes),
+                read_bytes(&mut other, &bytes),
                 Err(LoadError::ShapeMismatch(_))
             ));
             assert_eq!(other.params()[0].value.data(), &before[..]);
@@ -1025,7 +966,7 @@ mod tests {
     #[test]
     fn missing_param_detected() {
         let a = net(1);
-        for bytes in [save(&a), save_v2(&a)] {
+        for bytes in [blob(&a, Version::V1), blob(&a, Version::V2)] {
             let mut rng = Prng::seed(4);
             let mut bigger = Sequential::new("net").push(Linear::new(
                 "fc3", // not in the checkpoint
@@ -1033,7 +974,7 @@ mod tests {
                 None,
             ));
             assert!(matches!(
-                load(&mut bigger, &bytes),
+                read_bytes(&mut bigger, &bytes),
                 Err(LoadError::MissingParam(_))
             ));
         }
@@ -1042,7 +983,7 @@ mod tests {
     #[test]
     fn extra_entries_are_ignored() {
         let a = net(1);
-        for bytes in [save(&a), save_v2(&a)] {
+        for bytes in [blob(&a, Version::V1), blob(&a, Version::V2)] {
             // A net with only fc1 loads fine from the two-layer checkpoint.
             let mut rng = Prng::seed(5);
             let mut partial = Sequential::new("net").push(Linear::new(
@@ -1050,7 +991,7 @@ mod tests {
                 Tensor::rand_normal(&[4, 3], 0.0, 1.0, &mut rng),
                 Some(Tensor::zeros(&[4])),
             ));
-            load(&mut partial, &bytes).unwrap();
+            read_bytes(&mut partial, &bytes).unwrap();
             assert_eq!(partial.params()[0].value.data(), a.params()[0].value.data());
         }
     }
@@ -1089,12 +1030,12 @@ mod tests {
                 bit in any::<u8>(),
             ) {
                 let a = net(1);
-                let valid = if v2 { save_v2(&a) } else { save(&a) };
+                let valid = if v2 { blob(&a, Version::V2) } else { blob(&a, Version::V1) };
                 let mutated = mutate(&valid, kind, at, bit);
                 let mut target = net(2);
                 // The contract: mutations load cleanly or error cleanly —
                 // no panic, no abort, no unbounded allocation.
-                let _ = load(&mut target, &mutated);
+                let _ = read_bytes(&mut target, &mutated);
             }
         }
     }

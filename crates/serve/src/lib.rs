@@ -27,10 +27,10 @@
 //!
 //! Latency accounting lives in [`ServeStats`]: queue delay in virtual
 //! ticks, per-sample compute in wall-clock nanoseconds, queue depth and
-//! batch occupancy, p50/p99 from the log-bucket `posit_obs::Histogram`
-//! (which started life here; see [`histogram`]). With `POSIT_OBS=1` the
-//! server also publishes a queue-depth gauge and batch-size histogram to
-//! the global `posit_obs` registry. The `load_driver` binary in
+//! batch occupancy, p50/p99 from the log-bucket `posit_obs::Histogram`.
+//! With `POSIT_OBS=1` the server also publishes a queue-depth gauge and
+//! batch-size histogram to the global `posit_obs` registry. The
+//! `load_driver` binary in
 //! `posit-bench` replays bursty and uniform synthetic traffic against
 //! this server and prints the latency/throughput table recorded in
 //! EXPERIMENTS.md.
@@ -38,11 +38,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod histogram;
 mod server;
 
-#[allow(deprecated)]
-pub use histogram::LatencyHistogram;
 pub use server::{
     InferenceReply, InferenceServer, Rejected, RequestId, ServeConfig, ServeStats, ServedModel,
 };

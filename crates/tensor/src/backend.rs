@@ -1,16 +1,11 @@
 //! The compute-backend switch: one dispatch point for every GEMM-shaped
 //! operation in the workspace.
 //!
-//! Three backends implement the same `C += A·B` contracts as
+//! Two backends implement the same `C += A·B` contracts as
 //! [`crate::gemm`]:
 //!
 //! * [`Backend::F32`] — the plain blocked f32 kernels (the substrate the
-//!   paper's GPU simulation runs on);
-//! * [`Backend::PositEmulated`] — the quantize→f32-GEMM→requantize sandwich:
-//!   operands are rounded to the posit grid element-by-element, the multiply
-//!   accumulates in f32, and the result is rounded again. This is what
-//!   per-element `P(·)` insertion around an f32 kernel computes, with its
-//!   double rounding;
+//!   paper's GPU simulation runs on, with `P(·)` at the Fig. 3 edges);
 //! * [`Backend::PositQuire`] — the decode-once [`crate::posit_gemm`] kernels:
 //!   operands are unpacked once, every product accumulates exactly in a
 //!   quire, and each output element is rounded exactly once.
@@ -23,8 +18,13 @@
 //! decoded scales exactly. Every other combination decodes to f32 first
 //! (the explicit round trip the packed path exists to avoid).
 //!
+//! Every GEMM goes through [`PreparedOperand::gemm_with`]: the left operand
+//! is prepared under a backend ([`Backend::prepare_operand`]), the right one
+//! is passed raw or prepared, and a [`Layout`] says which side is stored
+//! transposed.
+//!
 //! The `nn` layers carry a `Backend` per direction (forward / backward), so
-//! the trainer can A/B the three paths without touching layer code.
+//! the trainer can A/B the two paths without touching layer code.
 
 use crate::gemm;
 use crate::posit_gemm::{PositGemm, PositPlane};
@@ -124,13 +124,6 @@ pub enum Backend {
     /// Plain f32 kernels (default).
     #[default]
     F32,
-    /// Posit-emulated: per-element quantization around the f32 kernel.
-    PositEmulated {
-        /// Operand/result format.
-        fmt: PositFormat,
-        /// Rounding mode for every quantization point.
-        rounding: Rounding,
-    },
     /// Posit-native: decode-once planes with exact quire accumulation.
     PositQuire {
         /// Operand/result format.
@@ -141,12 +134,11 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Short stable name (`f32` | `posit-emulated` | `posit-quire`), e.g.
-    /// for bench labels and CLI flags.
+    /// Short stable name (`f32` | `posit-quire`), e.g. for bench labels and
+    /// CLI flags.
     pub fn name(&self) -> &'static str {
         match self {
             Backend::F32 => "f32",
-            Backend::PositEmulated { .. } => "posit-emulated",
             Backend::PositQuire { .. } => "posit-quire",
         }
     }
@@ -161,18 +153,11 @@ impl Backend {
         }
     }
 
-    /// Quantize a slice to the posit grid (the sandwich's operand rounding).
-    pub(crate) fn sandwich_quantize(fmt: &PositFormat, rounding: Rounding, xs: &[f32]) -> Vec<f32> {
-        xs.iter()
-            .map(|&x| fmt.to_f32(fmt.from_f32(x, rounding)))
-            .collect()
-    }
-
     /// Prepare a left operand once for repeated GEMMs under this backend —
     /// the decode-once contract extended across calls (e.g. a conv batch
     /// loop where the weight tile is the `A` operand of every sample's
-    /// GEMM). For [`Backend::F32`] this is a free borrow; for the posit
-    /// backends it pays the quantize/decode exactly once.
+    /// GEMM). For [`Backend::F32`] this is a free borrow; for the quire
+    /// backend it pays the decode exactly once.
     pub fn prepare<'a>(&self, xs: &'a [f32]) -> PreparedOperand<'a> {
         self.prepare_operand(Operand::F32(xs))
     }
@@ -186,29 +171,16 @@ impl Backend {
                 inner: Prepared::F32(Cow::Borrowed(xs)),
             };
         }
-        let inner = match self.prepare_owned(op) {
-            PreparedOwned::F32(v) => Prepared::F32(Cow::Owned(v)),
-            PreparedOwned::Emulated { fmt, rounding, q } => Prepared::Emulated {
-                fmt,
-                rounding,
-                q: Cow::Owned(q),
-            },
-            PreparedOwned::Quire { kernel, plane } => Prepared::Quire {
-                kernel,
-                plane: Cow::Owned(plane),
-            },
-        };
-        PreparedOperand { inner }
+        self.prepare_owned(op)
     }
 
     /// [`Backend::prepare_operand`] for a tensor operand, memoized in
     /// `cache` and keyed on the tensor's content stamp
     /// ([`crate::Tensor::version`]) plus this backend: the expensive part
-    /// of preparation (posit decode into a plane, sandwich quantization, a
-    /// packed-tensor decode to f32) is paid once per distinct weight
-    /// content instead of once per GEMM. A plain f32 tensor under the f32
-    /// backend bypasses the cache entirely — its preparation is a free
-    /// borrow.
+    /// of preparation (posit decode into a plane, a packed-tensor decode to
+    /// f32) is paid once per distinct weight content instead of once per
+    /// GEMM. A plain f32 tensor under the f32 backend bypasses the cache
+    /// entirely — its preparation is a free borrow.
     ///
     /// Invalidation is automatic: any mutable borrow of the tensor's
     /// buffer, and any storage replacement (an optimizer step, a packed
@@ -244,48 +216,33 @@ impl Backend {
                 prepared: self.prepare_owned(t.operand()),
             });
         }
-        let slot = cache.slot.as_ref().expect("slot just filled");
-        let inner = match &slot.prepared {
-            PreparedOwned::F32(v) => Prepared::F32(Cow::Borrowed(v)),
-            PreparedOwned::Emulated { fmt, rounding, q } => Prepared::Emulated {
-                fmt: *fmt,
-                rounding: *rounding,
-                q: Cow::Borrowed(q),
-            },
-            PreparedOwned::Quire { kernel, plane } => Prepared::Quire {
-                kernel: *kernel,
-                plane: Cow::Borrowed(plane),
-            },
-        };
-        PreparedOperand { inner }
+        cache
+            .slot
+            .as_ref()
+            .expect("slot just filled")
+            .prepared
+            .view()
     }
 
     /// The owned preparation every prepare path shares (the free-borrow
     /// case — f32 data under the f32 backend — is short-circuited by the
     /// callers before reaching here).
-    fn prepare_owned(&self, op: Operand<'_>) -> PreparedOwned {
-        match self {
-            Backend::F32 => PreparedOwned::F32(op.to_f32_vec().into_owned()),
-            Backend::PositEmulated { fmt, rounding } => {
-                let rounding = Self::op_rounding(*rounding);
-                PreparedOwned::Emulated {
-                    fmt: *fmt,
-                    rounding,
-                    q: Self::sandwich_quantize(fmt, rounding, &op.to_f32_vec()),
-                }
-            }
+    fn prepare_owned(&self, op: Operand<'_>) -> PreparedOperand<'static> {
+        let inner = match self {
+            Backend::F32 => Prepared::F32(Cow::Owned(op.to_f32_vec().into_owned())),
             Backend::PositQuire { fmt, rounding } => {
                 let kernel = PositGemm::new(*fmt, *rounding);
-                let plane = quire_plane(&kernel, op);
-                PreparedOwned::Quire { kernel, plane }
+                let plane = Cow::Owned(quire_plane(&kernel, op));
+                Prepared::Quire { kernel, plane }
             }
-        }
+        };
+        PreparedOperand { inner }
     }
 
     /// For [`Backend::PositQuire`]: the decode-once operand plane this
     /// backend's GEMMs would build for `op` (packed fast path included);
-    /// `None` for the other backends. This is the operand entry point of
-    /// the exact gradient buffers ([`crate::GradQuireBuf`]), which must see
+    /// `None` for the f32 backend. This is the operand entry point of the
+    /// exact gradient buffers ([`crate::GradQuireBuf`]), which must see
     /// byte-identical planes to the kernels for the 1-shard ≡ serial
     /// guarantee to hold.
     pub fn quire_operand_plane(&self, op: Operand<'_>) -> Option<PositPlane> {
@@ -294,7 +251,7 @@ impl Backend {
                 let kernel = PositGemm::new(*fmt, *rounding);
                 Some(quire_plane(&kernel, op))
             }
-            _ => None,
+            Backend::F32 => None,
         }
     }
 
@@ -302,7 +259,7 @@ impl Backend {
     /// `len` accumulators sized for this backend's format and rounding, a
     /// whole-batch reduction depth of `k_total`, and operand planes
     /// carrying at most `margin` total scale-shift bits; `None` for the
-    /// other backends (exact sharded accumulation has no meaning there).
+    /// f32 backend (exact sharded accumulation has no meaning there).
     pub fn grad_quire_buf(
         &self,
         len: usize,
@@ -317,62 +274,8 @@ impl Backend {
                 k_total,
                 len,
             )),
-            _ => None,
+            Backend::F32 => None,
         }
-    }
-
-    /// `c += a[m,k] * b[k,n]` under this backend.
-    pub fn gemm(&self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-        self.prepare(a).gemm(m, k, n, b, c);
-    }
-
-    /// `c += a^T[m,k] * b[k,n]` (`a` stored `[k, m]`) under this backend.
-    pub fn gemm_at_b(&self, m: usize, k: usize, n: usize, a_t: &[f32], b: &[f32], c: &mut [f32]) {
-        self.prepare(a_t).gemm_at_b(m, k, n, b, c);
-    }
-
-    /// `c += a[m,k] * b^T[k,n]` (`b` stored `[n, k]`) under this backend.
-    pub fn gemm_a_bt(&self, m: usize, k: usize, n: usize, a: &[f32], b_t: &[f32], c: &mut [f32]) {
-        self.prepare(a).gemm_a_bt(m, k, n, b_t, c);
-    }
-
-    /// [`Backend::gemm`] over dual-domain operands.
-    pub fn gemm_op(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: Operand<'_>,
-        b: Operand<'_>,
-        c: &mut [f32],
-    ) {
-        self.prepare_operand(a).gemm_op(m, k, n, b, c);
-    }
-
-    /// [`Backend::gemm_at_b`] over dual-domain operands.
-    pub fn gemm_at_b_op(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a_t: Operand<'_>,
-        b: Operand<'_>,
-        c: &mut [f32],
-    ) {
-        self.prepare_operand(a_t).gemm_at_b_op(m, k, n, b, c);
-    }
-
-    /// [`Backend::gemm_a_bt`] over dual-domain operands.
-    pub fn gemm_a_bt_op(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: Operand<'_>,
-        b_t: Operand<'_>,
-        c: &mut [f32],
-    ) {
-        self.prepare_operand(a).gemm_a_bt_op(m, k, n, b_t, c);
     }
 }
 
@@ -427,37 +330,58 @@ impl OperandCache {
 struct CacheSlot {
     backend: Backend,
     version: u64,
-    prepared: PreparedOwned,
+    prepared: PreparedOperand<'static>,
 }
 
-/// Owned twin of [`Prepared`], storable across calls.
-enum PreparedOwned {
-    F32(Vec<f32>),
-    Emulated {
-        fmt: PositFormat,
-        rounding: Rounding,
-        q: Vec<f32>,
-    },
-    Quire {
-        kernel: PositGemm,
-        plane: PositPlane,
-    },
+/// Which GEMM operand is stored transposed: the `c[m,n] += a·b` shapes
+/// [`PreparedOperand::gemm_with`] computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// `c += a[m,k] · b[k,n]`.
+    AB,
+    /// `c += aᵀ · b`, with `a` stored `[k, m]`.
+    AtB,
+    /// `c += a · bᵀ`, with `b` stored `[n, k]`.
+    ABt,
 }
 
-/// A GEMM left operand prepared once under a [`Backend`] (see
-/// [`Backend::prepare`]); the right operand is prepared per call — or
-/// passed pre-prepared through the `*_prepared` entry points.
+/// The right operand of [`PreparedOperand::gemm_with`]: raw, and prepared
+/// per call under the left operand's kernel, or already prepared (e.g. a
+/// cached weight, see [`Backend::prepare_tensor_cached`]).
+pub enum Rhs<'r, 'b> {
+    /// An operand in either storage domain.
+    Raw(Operand<'b>),
+    /// An operand prepared under the same backend as the left one.
+    Prepared(&'r PreparedOperand<'b>),
+}
+
+impl<'b> From<Operand<'b>> for Rhs<'_, 'b> {
+    fn from(op: Operand<'b>) -> Self {
+        Rhs::Raw(op)
+    }
+}
+
+impl<'b> From<&'b [f32]> for Rhs<'_, 'b> {
+    fn from(xs: &'b [f32]) -> Self {
+        Rhs::Raw(Operand::F32(xs))
+    }
+}
+
+impl<'r, 'b> From<&'r PreparedOperand<'b>> for Rhs<'r, 'b> {
+    fn from(p: &'r PreparedOperand<'b>) -> Self {
+        Rhs::Prepared(p)
+    }
+}
+
+/// A GEMM operand prepared once under a [`Backend`] (see
+/// [`Backend::prepare`]): the left operand of
+/// [`PreparedOperand::gemm_with`], or a prepared right one.
 pub struct PreparedOperand<'a> {
     inner: Prepared<'a>,
 }
 
 enum Prepared<'a> {
     F32(Cow<'a, [f32]>),
-    Emulated {
-        fmt: PositFormat,
-        rounding: Rounding,
-        q: Cow<'a, [f32]>,
-    },
     Quire {
         kernel: PositGemm,
         plane: Cow<'a, PositPlane>,
@@ -465,172 +389,69 @@ enum Prepared<'a> {
 }
 
 impl PreparedOperand<'_> {
-    /// The emulated sandwich tail: requantize the f32 scratch result and
-    /// accumulate it into `c`.
-    fn emulated_store(fmt: &PositFormat, rounding: Rounding, tmp: &[f32], c: &mut [f32]) {
-        for (ci, &t) in c.iter_mut().zip(tmp) {
-            *ci += fmt.to_f32(fmt.from_f32(t, rounding));
+    /// `c += op(self) · op(b)` under the backend `self` was prepared with,
+    /// `layout` saying which side is stored transposed. A raw `b` is
+    /// prepared under `self`'s kernel first (a free borrow for f32 data on
+    /// the f32 backend, a decode-once plane on the quire backend).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a prepared `b` was prepared under a different backend,
+    /// format or rounding.
+    pub fn gemm_with<'r, 'b: 'r>(
+        &self,
+        layout: Layout,
+        m: usize,
+        k: usize,
+        n: usize,
+        b: impl Into<Rhs<'r, 'b>>,
+        c: &mut [f32],
+    ) {
+        let raw;
+        let b = match b.into() {
+            Rhs::Prepared(p) => p,
+            Rhs::Raw(op) => {
+                raw = self.prepare_like(op);
+                &raw
+            }
+        };
+        match (&self.inner, &b.inner) {
+            (Prepared::F32(a), Prepared::F32(b)) => match layout {
+                Layout::AB => gemm::gemm(m, k, n, a, b, c),
+                Layout::AtB => gemm::gemm_at_b(m, k, n, a, b, c),
+                Layout::ABt => gemm::gemm_a_bt(m, k, n, a, b, c),
+            },
+            (
+                Prepared::Quire { kernel, plane },
+                Prepared::Quire {
+                    kernel: bk,
+                    plane: pb,
+                },
+            ) => {
+                assert_eq!(
+                    kernel, bk,
+                    "quire operands prepared under different formats/roundings"
+                );
+                match layout {
+                    Layout::AB => kernel.gemm(m, k, n, plane, pb, c),
+                    Layout::AtB => kernel.gemm_at_b(m, k, n, plane, pb, c),
+                    Layout::ABt => kernel.gemm_a_bt(m, k, n, plane, pb, c),
+                }
+            }
+            _ => panic!("GEMM operands prepared under different backends"),
         }
     }
 
-    /// `c += self[m,k] * b[k,n]` (`self` is the prepared `A`).
+    /// `c += self[m,k] · b[k,n]` — [`PreparedOperand::gemm_with`] in the
+    /// [`Layout::AB`] layout; kept because `perfbench/src/probes.rs` calls
+    /// it.
     pub fn gemm(&self, m: usize, k: usize, n: usize, b: &[f32], c: &mut [f32]) {
-        self.gemm_op(m, k, n, Operand::F32(b), c);
+        self.gemm_with(Layout::AB, m, k, n, b, c);
     }
 
-    /// `c += self^T[m,k] * b[k,n]` (`self` is the prepared `A^T`, stored
-    /// `[k, m]`).
-    pub fn gemm_at_b(&self, m: usize, k: usize, n: usize, b: &[f32], c: &mut [f32]) {
-        self.gemm_at_b_op(m, k, n, Operand::F32(b), c);
-    }
-
-    /// `c += self[m,k] * b^T[k,n]` (`self` is the prepared `A`; `b` stored
-    /// `[n, k]`).
-    pub fn gemm_a_bt(&self, m: usize, k: usize, n: usize, b_t: &[f32], c: &mut [f32]) {
-        self.gemm_a_bt_op(m, k, n, Operand::F32(b_t), c);
-    }
-
-    /// [`PreparedOperand::gemm`] over a dual-domain right operand.
-    pub fn gemm_op(&self, m: usize, k: usize, n: usize, b: Operand<'_>, c: &mut [f32]) {
-        match &self.inner {
-            Prepared::F32(a) => gemm::gemm(m, k, n, a, &b.to_f32_vec(), c),
-            Prepared::Emulated { fmt, rounding, q } => {
-                let qb = Backend::sandwich_quantize(fmt, *rounding, &b.to_f32_vec());
-                let mut tmp = vec![0.0f32; c.len()];
-                gemm::gemm(m, k, n, q, &qb, &mut tmp);
-                Self::emulated_store(fmt, *rounding, &tmp, c);
-            }
-            Prepared::Quire { kernel, plane } => {
-                let pb = quire_plane(kernel, b);
-                kernel.gemm(m, k, n, plane, &pb, c);
-            }
-        }
-    }
-
-    /// [`PreparedOperand::gemm_at_b`] over a dual-domain right operand.
-    pub fn gemm_at_b_op(&self, m: usize, k: usize, n: usize, b: Operand<'_>, c: &mut [f32]) {
-        match &self.inner {
-            Prepared::F32(a_t) => gemm::gemm_at_b(m, k, n, a_t, &b.to_f32_vec(), c),
-            Prepared::Emulated { fmt, rounding, q } => {
-                let qb = Backend::sandwich_quantize(fmt, *rounding, &b.to_f32_vec());
-                let mut tmp = vec![0.0f32; c.len()];
-                gemm::gemm_at_b(m, k, n, q, &qb, &mut tmp);
-                Self::emulated_store(fmt, *rounding, &tmp, c);
-            }
-            Prepared::Quire { kernel, plane } => {
-                let pb = quire_plane(kernel, b);
-                kernel.gemm_at_b(m, k, n, plane, &pb, c);
-            }
-        }
-    }
-
-    /// `c += self[m,k] * b[k,n]` with *both* operands pre-prepared under
-    /// the same backend — the entry point for a cached weight operand on
-    /// the right-hand side (see [`Backend::prepare_tensor_cached`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands were prepared under different backends.
-    pub fn gemm_prepared(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        b: &PreparedOperand<'_>,
-        c: &mut [f32],
-    ) {
-        match (&self.inner, &b.inner) {
-            (Prepared::F32(a), Prepared::F32(bv)) => gemm::gemm(m, k, n, a, bv, c),
-            (
-                Prepared::Emulated { fmt, rounding, q },
-                Prepared::Emulated {
-                    fmt: bf,
-                    rounding: br,
-                    q: qb,
-                },
-            ) => {
-                assert_eq!(
-                    (fmt, rounding),
-                    (bf, br),
-                    "emulated operands quantized under different formats/roundings"
-                );
-                let mut tmp = vec![0.0f32; c.len()];
-                gemm::gemm(m, k, n, q, qb, &mut tmp);
-                Self::emulated_store(fmt, *rounding, &tmp, c);
-            }
-            (
-                Prepared::Quire { kernel, plane },
-                Prepared::Quire {
-                    kernel: bk,
-                    plane: pb,
-                },
-            ) => {
-                assert_eq!(
-                    kernel, bk,
-                    "quire operands prepared under different formats/roundings"
-                );
-                kernel.gemm(m, k, n, plane, pb, c);
-            }
-            _ => panic!("GEMM operands prepared under different backends"),
-        }
-    }
-
-    /// `c += self^T[m,k] * b[k,n]` (`self` stored `[k, m]`) with both
-    /// operands pre-prepared under the same backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands were prepared under different backends.
-    pub fn gemm_at_b_prepared(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        b: &PreparedOperand<'_>,
-        c: &mut [f32],
-    ) {
-        match (&self.inner, &b.inner) {
-            (Prepared::F32(a_t), Prepared::F32(bv)) => gemm::gemm_at_b(m, k, n, a_t, bv, c),
-            (
-                Prepared::Emulated { fmt, rounding, q },
-                Prepared::Emulated {
-                    fmt: bf,
-                    rounding: br,
-                    q: qb,
-                },
-            ) => {
-                assert_eq!(
-                    (fmt, rounding),
-                    (bf, br),
-                    "emulated operands quantized under different formats/roundings"
-                );
-                let mut tmp = vec![0.0f32; c.len()];
-                gemm::gemm_at_b(m, k, n, q, qb, &mut tmp);
-                Self::emulated_store(fmt, *rounding, &tmp, c);
-            }
-            (
-                Prepared::Quire { kernel, plane },
-                Prepared::Quire {
-                    kernel: bk,
-                    plane: pb,
-                },
-            ) => {
-                assert_eq!(
-                    kernel, bk,
-                    "quire operands prepared under different formats/roundings"
-                );
-                kernel.gemm_at_b(m, k, n, plane, pb, c);
-            }
-            _ => panic!("GEMM operands prepared under different backends"),
-        }
-    }
-
-    /// `c += self[m,k] * b^T[k,n]` (`b` stored `[n, k]`) with both
-    /// operands pre-prepared under the same backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands were prepared under different backends.
+    /// `c += self[m,k] · b_tᵀ` with `b_t` prepared — [`PreparedOperand::gemm_with`]
+    /// in the [`Layout::ABt`] layout; kept because `perfbench/src/probes.rs`
+    /// calls it.
     pub fn gemm_a_bt_prepared(
         &self,
         m: usize,
@@ -639,57 +460,32 @@ impl PreparedOperand<'_> {
         b_t: &PreparedOperand<'_>,
         c: &mut [f32],
     ) {
-        match (&self.inner, &b_t.inner) {
-            (Prepared::F32(a), Prepared::F32(bv)) => gemm::gemm_a_bt(m, k, n, a, bv, c),
-            (
-                Prepared::Emulated { fmt, rounding, q },
-                Prepared::Emulated {
-                    fmt: bf,
-                    rounding: br,
-                    q: qb,
-                },
-            ) => {
-                assert_eq!(
-                    (fmt, rounding),
-                    (bf, br),
-                    "emulated operands quantized under different formats/roundings"
-                );
-                let mut tmp = vec![0.0f32; c.len()];
-                gemm::gemm_a_bt(m, k, n, q, qb, &mut tmp);
-                Self::emulated_store(fmt, *rounding, &tmp, c);
-            }
-            (
-                Prepared::Quire { kernel, plane },
-                Prepared::Quire {
-                    kernel: bk,
-                    plane: pb,
-                },
-            ) => {
-                assert_eq!(
-                    kernel, bk,
-                    "quire operands prepared under different formats/roundings"
-                );
-                kernel.gemm_a_bt(m, k, n, plane, pb, c);
-            }
-            _ => panic!("GEMM operands prepared under different backends"),
-        }
+        self.gemm_with(Layout::ABt, m, k, n, b_t, c);
     }
 
-    /// [`PreparedOperand::gemm_a_bt`] over a dual-domain right operand.
-    pub fn gemm_a_bt_op(&self, m: usize, k: usize, n: usize, b_t: Operand<'_>, c: &mut [f32]) {
-        match &self.inner {
-            Prepared::F32(a) => gemm::gemm_a_bt(m, k, n, a, &b_t.to_f32_vec(), c),
-            Prepared::Emulated { fmt, rounding, q } => {
-                let qb = Backend::sandwich_quantize(fmt, *rounding, &b_t.to_f32_vec());
-                let mut tmp = vec![0.0f32; c.len()];
-                gemm::gemm_a_bt(m, k, n, q, &qb, &mut tmp);
-                Self::emulated_store(fmt, *rounding, &tmp, c);
-            }
-            Prepared::Quire { kernel, plane } => {
-                let pb = quire_plane(kernel, b_t);
-                kernel.gemm_a_bt(m, k, n, plane, &pb, c);
-            }
-        }
+    /// Prepare a raw right operand under this operand's kernel.
+    fn prepare_like<'b>(&self, op: Operand<'b>) -> PreparedOperand<'b> {
+        let inner = match &self.inner {
+            Prepared::F32(_) => Prepared::F32(op.to_f32_vec()),
+            Prepared::Quire { kernel, .. } => Prepared::Quire {
+                kernel: *kernel,
+                plane: Cow::Owned(quire_plane(kernel, op)),
+            },
+        };
+        PreparedOperand { inner }
+    }
+
+    /// A borrowing view of this preparation (how the operand cache hands
+    /// out its stored entry).
+    fn view(&self) -> PreparedOperand<'_> {
+        let inner = match &self.inner {
+            Prepared::F32(v) => Prepared::F32(Cow::Borrowed(v)),
+            Prepared::Quire { kernel, plane } => Prepared::Quire {
+                kernel: *kernel,
+                plane: Cow::Borrowed(plane),
+            },
+        };
+        PreparedOperand { inner }
     }
 }
 
@@ -699,13 +495,9 @@ mod tests {
 
     const FMT: PositFormat = PositFormat::of(16, 1);
 
-    fn backends() -> [Backend; 3] {
+    fn backends() -> [Backend; 2] {
         [
             Backend::F32,
-            Backend::PositEmulated {
-                fmt: FMT,
-                rounding: Rounding::NearestEven,
-            },
             Backend::PositQuire {
                 fmt: FMT,
                 rounding: Rounding::NearestEven,
@@ -713,11 +505,24 @@ mod tests {
         ]
     }
 
+    /// One GEMM with both operands raw: the left prepared under `bk`.
+    fn run(
+        bk: Backend,
+        layout: Layout,
+        mkn: [usize; 3],
+        a: Operand<'_>,
+        b: Operand<'_>,
+    ) -> Vec<f32> {
+        let [m, k, n] = mkn;
+        let mut c = vec![0.0f32; m * n];
+        bk.prepare_operand(a).gemm_with(layout, m, k, n, b, &mut c);
+        c
+    }
+
     #[test]
     fn names() {
-        let [f, e, q] = backends();
+        let [f, q] = backends();
         assert_eq!(f.name(), "f32");
-        assert_eq!(e.name(), "posit-emulated");
         assert_eq!(q.name(), "posit-quire");
         assert_eq!(Backend::default(), Backend::F32);
     }
@@ -725,14 +530,13 @@ mod tests {
     #[test]
     fn backends_agree_on_exact_inputs() {
         // Small powers of two: every intermediate is exact in (16,1) and in
-        // f32, so all three backends must produce identical results.
+        // f32, so both backends must produce identical results.
         let a = [1.0f32, 2.0, -0.5, 4.0, 0.25, -8.0]; // [2, 3]
         let b = [2.0f32, 0.5, -1.0, 4.0, 0.125, -2.0]; // [3, 2]
         let mut want = vec![0.0f32; 4];
         gemm::gemm(2, 3, 2, &a, &b, &mut want);
         for bk in backends() {
-            let mut c = vec![0.0f32; 4];
-            bk.gemm(2, 3, 2, &a, &b, &mut c);
+            let c = run(bk, Layout::AB, [2, 3, 2], (&a[..]).into(), (&b[..]).into());
             assert_eq!(c, want, "{}", bk.name());
         }
     }
@@ -750,13 +554,10 @@ mod tests {
             let pa = ta.to_posit(FMT, ea, Rounding::NearestEven);
             let pb = tb.to_posit(FMT, eb, Rounding::NearestEven);
             for bk in backends() {
-                let mut want = vec![0.0f32; 4];
-                bk.gemm(2, 3, 2, &av, &bv, &mut want);
-                let mut c = vec![0.0f32; 4];
-                bk.gemm_op(2, 3, 2, pa.operand(), pb.operand(), &mut c);
+                let want = run(bk, Layout::AB, [2, 3, 2], ta.operand(), tb.operand());
+                let c = run(bk, Layout::AB, [2, 3, 2], pa.operand(), pb.operand());
                 assert_eq!(c, want, "packed×packed {} e=({ea},{eb})", bk.name());
-                let mut c = vec![0.0f32; 4];
-                bk.gemm_op(2, 3, 2, ta.operand(), pb.operand(), &mut c);
+                let c = run(bk, Layout::AB, [2, 3, 2], ta.operand(), pb.operand());
                 assert_eq!(c, want, "f32×packed {}", bk.name());
             }
         }
@@ -769,15 +570,10 @@ mod tests {
         // both formats.
         let t = Tensor::from_vec(vec![1.0, -2.0, 0.5], &[1, 3]);
         let p8 = t.to_posit(PositFormat::of(8, 1), 0, Rounding::NearestEven);
-        let qui = Backend::PositQuire {
-            fmt: FMT,
-            rounding: Rounding::NearestEven,
-        };
+        let [_, qui] = backends();
         let b = Tensor::from_vec(vec![2.0, 4.0, -1.0], &[3, 1]);
-        let mut want = vec![0.0f32; 1];
-        qui.gemm_op(1, 3, 1, t.operand(), b.operand(), &mut want);
-        let mut c = vec![0.0f32; 1];
-        qui.gemm_op(1, 3, 1, p8.operand(), b.operand(), &mut c);
+        let want = run(qui, Layout::AB, [1, 3, 1], t.operand(), b.operand());
+        let c = run(qui, Layout::AB, [1, 3, 1], p8.operand(), b.operand());
         assert_eq!(c, want);
     }
 
@@ -797,15 +593,15 @@ mod tests {
         let a_t = [1.0f32, 4.0, 2.0, 5.0, 3.0, 6.0]; // [3, 2]
         let b = [1.0f32, -2.0, 0.5, 1.0, -1.0, 2.0]; // [3, 2]
         let b_t = [1.0f32, 0.5, -1.0, -2.0, 1.0, 2.0]; // [2, 3]
+        fn f(xs: &[f32; 6]) -> Operand<'_> {
+            Operand::F32(xs)
+        }
         for bk in backends() {
-            let mut plain = vec![0.0f32; 4];
-            bk.gemm(2, 3, 2, &a, &b, &mut plain);
-            let mut c = vec![0.0f32; 4];
-            bk.gemm_at_b(2, 3, 2, &a_t, &b, &mut c);
-            assert_eq!(c, plain, "gemm_at_b {}", bk.name());
-            let mut c = vec![0.0f32; 4];
-            bk.gemm_a_bt(2, 3, 2, &a, &b_t, &mut c);
-            assert_eq!(c, plain, "gemm_a_bt {}", bk.name());
+            let plain = run(bk, Layout::AB, [2, 3, 2], f(&a), f(&b));
+            let c = run(bk, Layout::AtB, [2, 3, 2], f(&a_t), f(&b));
+            assert_eq!(c, plain, "AtB {}", bk.name());
+            let c = run(bk, Layout::ABt, [2, 3, 2], f(&a), f(&b_t));
+            assert_eq!(c, plain, "ABt {}", bk.name());
         }
     }
 
@@ -815,19 +611,15 @@ mod tests {
         let b = Tensor::from_vec(vec![1.0, -2.0, 0.5, 1.0, -1.0, 2.0], &[3, 2]);
         let b_t = b.transpose2();
         let a = a_t.transpose2();
+        let packed = |t: &Tensor| t.to_posit(FMT, 0, Rounding::NearestEven);
         for bk in backends() {
-            let mut plain = vec![0.0f32; 4];
-            bk.gemm(2, 3, 2, a.data(), b.data(), &mut plain);
-            let pat = a_t.to_posit(FMT, 0, Rounding::NearestEven);
-            let pb = b.to_posit(FMT, 0, Rounding::NearestEven);
-            let pbt = b_t.to_posit(FMT, 0, Rounding::NearestEven);
-            let pa = a.to_posit(FMT, 0, Rounding::NearestEven);
-            let mut c = vec![0.0f32; 4];
-            bk.gemm_at_b_op(2, 3, 2, pat.operand(), pb.operand(), &mut c);
-            assert_eq!(c, plain, "gemm_at_b_op {}", bk.name());
-            let mut c = vec![0.0f32; 4];
-            bk.gemm_a_bt_op(2, 3, 2, pa.operand(), pbt.operand(), &mut c);
-            assert_eq!(c, plain, "gemm_a_bt_op {}", bk.name());
+            let plain = run(bk, Layout::AB, [2, 3, 2], a.operand(), b.operand());
+            let (pat, pb) = (packed(&a_t), packed(&b));
+            let c = run(bk, Layout::AtB, [2, 3, 2], pat.operand(), pb.operand());
+            assert_eq!(c, plain, "AtB packed {}", bk.name());
+            let (pa, pbt) = (packed(&a), packed(&b_t));
+            let c = run(bk, Layout::ABt, [2, 3, 2], pa.operand(), pbt.operand());
+            assert_eq!(c, plain, "ABt packed {}", bk.name());
         }
     }
 
@@ -835,7 +627,7 @@ mod tests {
     fn posit_backends_accumulate_into_c() {
         for bk in backends() {
             let mut c = vec![100.0f32; 1];
-            bk.gemm(1, 1, 1, &[2.0], &[3.0], &mut c);
+            bk.prepare(&[2.0]).gemm(1, 1, 1, &[3.0], &mut c);
             assert_eq!(c, vec![106.0], "{}", bk.name());
         }
     }
@@ -843,88 +635,69 @@ mod tests {
     #[test]
     fn stochastic_rounding_degrades_instead_of_panicking() {
         // The A4 ablation configures Rounding::Stochastic; the kernels
-        // carry no per-element random stream, so every backend must degrade
-        // to nearest-even rather than hit from_f64's stochastic assert.
+        // carry no per-element random stream, so the quire backend must
+        // degrade to nearest-even rather than hit from_f64's stochastic
+        // assert.
+        let bk = Backend::PositQuire {
+            fmt: FMT,
+            rounding: Rounding::Stochastic,
+        };
         let a = [1.0f32, 2.0, -0.5, 4.0, 0.25, -8.0];
         let b = [2.0f32, 0.5, -1.0, 4.0, 0.125, -2.0];
-        for bk in [
-            Backend::PositEmulated {
-                fmt: FMT,
-                rounding: Rounding::Stochastic,
-            },
-            Backend::PositQuire {
-                fmt: FMT,
-                rounding: Rounding::Stochastic,
-            },
-        ] {
-            let mut want = vec![0.0f32; 4];
-            bk.gemm(2, 3, 2, &a, &b, &mut want);
-            let mut c = vec![0.0f32; 4];
-            bk.gemm_at_b(2, 3, 2, &[1.0, 4.0, 2.0, 0.25, -0.5, -8.0], &b, &mut c);
-            let mut c = vec![0.0f32; 4];
-            bk.gemm_a_bt(2, 3, 2, &a, &[2.0, -1.0, 0.125, 0.5, 4.0, -2.0], &mut c);
+        for layout in [Layout::AB, Layout::AtB, Layout::ABt] {
+            run(bk, layout, [2, 3, 2], (&a[..]).into(), (&b[..]).into());
         }
     }
 
     #[test]
     fn cached_weight_operand_matches_per_call_preparation() {
-        // The prepared×prepared entry points fed from an OperandCache must
-        // reproduce the per-call gemm_*_op results under every backend, in
-        // both the A·Bᵀ (forward) and A·B (backward-dX) positions.
+        // A prepared right operand fed from an OperandCache must reproduce
+        // the raw right operand's results under every backend, in both the
+        // A·Bᵀ (forward) and A·B (backward-dX) positions.
         let w = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25, 4.0, -0.125], &[2, 3]);
+        let w_t = w.transpose2(); // [3, 2] so W is the B of a plain gemm
         let x = [1.0f32, -2.0, 0.5, 8.0, 0.25, -1.0]; // [2, 3]
         for bk in backends() {
-            let mut cache = OperandCache::new();
-            let mut want = vec![0.0f32; 4];
-            bk.gemm_a_bt_op(2, 3, 2, Operand::F32(&x), w.operand(), &mut want);
-            for _ in 0..2 {
-                let xp = bk.prepare_operand(Operand::F32(&x));
-                let wp = bk.prepare_tensor_cached(&w, &mut cache);
-                let mut c = vec![0.0f32; 4];
-                xp.gemm_a_bt_prepared(2, 3, 2, &wp, &mut c);
-                assert_eq!(c, want, "{} a_bt", bk.name());
+            for (layout, w) in [(Layout::ABt, &w), (Layout::AB, &w_t)] {
+                let mut cache = OperandCache::new();
+                let want = run(bk, layout, [2, 3, 2], Operand::F32(&x), w.operand());
+                for _ in 0..2 {
+                    let xp = bk.prepare(&x);
+                    let wp = bk.prepare_tensor_cached(w, &mut cache);
+                    let mut c = vec![0.0f32; 4];
+                    xp.gemm_with(layout, 2, 3, 2, &wp, &mut c);
+                    assert_eq!(c, want, "{} {layout:?}", bk.name());
+                }
+                // Caches engage for everything but the free-borrow f32 case.
+                assert_eq!(cache.is_cached(), bk != Backend::F32);
             }
-            // Caches engage for everything but the free-borrow f32 case.
-            assert_eq!(cache.is_cached(), bk != Backend::F32);
-
-            let w_t = w.transpose2(); // [3, 2] so W is the B of a plain gemm
-            let mut cache_t = OperandCache::new();
-            let mut want = vec![0.0f32; 4];
-            bk.gemm_op(2, 3, 2, Operand::F32(&x), w_t.operand(), &mut want);
-            let xp = bk.prepare_operand(Operand::F32(&x));
-            let wp = bk.prepare_tensor_cached(&w_t, &mut cache_t);
-            let mut c = vec![0.0f32; 4];
-            xp.gemm_prepared(2, 3, 2, &wp, &mut c);
-            assert_eq!(c, want, "{} plain", bk.name());
         }
     }
 
     #[test]
     fn cache_invalidates_on_content_change_and_backend_switch() {
-        let qui = Backend::PositQuire {
-            fmt: FMT,
-            rounding: Rounding::NearestEven,
-        };
+        let [_, qui] = backends();
         let mut w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let x = [1.0f32, 0.0, 0.0, 1.0];
         let mut cache = OperandCache::new();
         let run = |w: &Tensor, cache: &mut OperandCache, bk: Backend| {
-            let xp = bk.prepare_operand(Operand::F32(&x));
+            let xp = bk.prepare(&x);
             let wp = bk.prepare_tensor_cached(w, cache);
             let mut c = vec![0.0f32; 4];
-            xp.gemm_prepared(2, 2, 2, &wp, &mut c);
+            xp.gemm_with(Layout::AB, 2, 2, 2, &wp, &mut c);
             c
         };
         assert_eq!(run(&w, &mut cache, qui), vec![1.0, 2.0, 3.0, 4.0]);
         // Mutate the weight: the stamp changes, the stale plane must go.
         w.data_mut()[0] = 8.0;
         assert_eq!(run(&w, &mut cache, qui), vec![8.0, 2.0, 3.0, 4.0]);
-        // Same content, different backend: must also rebuild, not reuse.
-        let emu = Backend::PositEmulated {
-            fmt: FMT,
+        // Same content, another quire format: must also rebuild, not reuse
+        // the (16,1) plane (mixing them would trip the kernel-match assert).
+        let qui8 = Backend::PositQuire {
+            fmt: PositFormat::of(8, 1),
             rounding: Rounding::NearestEven,
         };
-        assert_eq!(run(&w, &mut cache, emu), vec![8.0, 2.0, 3.0, 4.0]);
+        assert_eq!(run(&w, &mut cache, qui8), vec![8.0, 2.0, 3.0, 4.0]);
         cache.invalidate();
         assert!(!cache.is_cached());
         assert_eq!(run(&w, &mut cache, qui), vec![8.0, 2.0, 3.0, 4.0]);
@@ -935,46 +708,46 @@ mod tests {
     fn mixed_backend_prepared_operands_panic() {
         let a = [1.0f32, 2.0];
         let b = [3.0f32, 4.0];
-        let qui = Backend::PositQuire {
-            fmt: FMT,
-            rounding: Rounding::NearestEven,
-        };
-        let pa = Backend::F32.prepare_operand(Operand::F32(&a));
-        let pb = qui.prepare_operand(Operand::F32(&b));
+        let [f32s, qui] = backends();
+        let pa = f32s.prepare(&a);
+        let pb = qui.prepare(&b);
         let mut c = vec![0.0f32; 1];
-        pa.gemm_prepared(1, 2, 1, &pb, &mut c);
+        pa.gemm_with(Layout::AB, 1, 2, 1, &pb, &mut c);
     }
 
     #[test]
     fn quire_avoids_the_double_rounding_of_the_sandwich() {
         // Exact dot: 1 + 2^-13 + 2^-40. In (16,1) the codes around it are
-        // 1.0 (even LSB) and 1 + 2^-12, with midpoint 1 + 2^-13. The f32
-        // accumulator of the sandwich drops the 2^-40 term (41 significant
-        // bits needed), lands exactly on the midpoint and ties to the even
-        // code 1.0; the quire keeps the term, sits above the midpoint and
-        // must round up. Every operand is exactly representable in (16,1),
-        // so the difference is purely the accumulator.
+        // 1.0 (even LSB) and 1 + 2^-12, with midpoint 1 + 2^-13. The
+        // quantize→f32-GEMM→requantize sandwich (per-element P(·) around an
+        // f32 kernel) drops the 2^-40 term in its f32 accumulator (41
+        // significant bits needed), lands exactly on the midpoint and ties
+        // to the even code 1.0; the quire keeps the term, sits above the
+        // midpoint and must round up. Every operand is exactly
+        // representable in (16,1), so the difference is purely the
+        // accumulator.
         let fmt = PositFormat::of(16, 1);
-        let emu = Backend::PositEmulated {
-            fmt,
-            rounding: Rounding::NearestEven,
-        };
+        let p = |x: f32| fmt.to_f32(fmt.from_f32(x, Rounding::NearestEven));
+        let a = [1.0f32, (-13f32).exp2(), (-20f32).exp2()];
+        let b = [1.0f32, 1.0, (-20f32).exp2()];
+        let (qa, qb): (Vec<f32>, Vec<f32>) = (a.map(p).to_vec(), b.map(p).to_vec());
+        let mut sandwich = vec![0.0f32; 1];
+        gemm::gemm(1, 3, 1, &qa, &qb, &mut sandwich);
+        assert_eq!(
+            p(sandwich[0]),
+            1.0,
+            "sandwich ties to even after dropping 2^-40"
+        );
         let qui = Backend::PositQuire {
             fmt,
             rounding: Rounding::NearestEven,
         };
-        let a = [1.0f32, (-13f32).exp2(), (-20f32).exp2()];
-        let b = [1.0f32, 1.0, (-20f32).exp2()];
-        let mut ce = vec![0.0f32; 1];
-        emu.gemm(1, 3, 1, &a, &b, &mut ce);
         let mut cq = vec![0.0f32; 1];
-        qui.gemm(1, 3, 1, &a, &b, &mut cq);
-        assert_eq!(ce[0], 1.0, "sandwich ties to even after dropping 2^-40");
+        qui.prepare(&a).gemm(1, 3, 1, &b, &mut cq);
         let up = 1.0 + (-12f32).exp2();
         assert_eq!(cq[0], up, "quire keeps 2^-40 and rounds up");
         // And the quire result must be on the (16,1) grid exactly.
-        let back = fmt.to_f32(fmt.from_f32(cq[0], Rounding::NearestEven));
-        assert_eq!(back, cq[0]);
+        assert_eq!(p(cq[0]), cq[0]);
     }
 
     #[test]
@@ -997,13 +770,11 @@ mod tests {
         assert_eq!(packed.to_f32().data(), &[shifted], "encode is exact");
         let one = Tensor::from_vec(vec![16.0], &[1, 1]); // exact in (8,1)
                                                          // Packed path: exact product 1.0625.
-        let mut c = vec![0.0f32; 1];
-        qui.gemm_op(1, 1, 1, packed.operand(), one.operand(), &mut c);
+        let c = run(qui, Layout::AB, [1, 1, 1], packed.operand(), one.operand());
         assert_eq!(c, vec![1.0625], "packed plane keeps the shifted value");
         // f32 path: the operand re-rounds to the nearest (8,1) posit
         // (0.0625 or 0.078125 — the tail is gone either way).
-        let mut c = vec![0.0f32; 1];
-        qui.gemm_op(1, 1, 1, t.operand(), one.operand(), &mut c);
+        let c = run(qui, Layout::AB, [1, 1, 1], t.operand(), one.operand());
         assert_ne!(c, vec![1.0625], "f32 staging re-rounds the operand");
     }
 }

@@ -108,8 +108,8 @@ pub fn col2im(col: &[f32], g: &ConvGeom, output: &mut [f32]) {
     }
 }
 
-/// Forward convolution: input `[N,C,H,W]`, weight `[O,C,KH,KW]`, optional
-/// bias `[O]` → output `[N,O,OH,OW]`.
+/// Forward convolution on the f32 backend: input `[N,C,H,W]`, weight
+/// `[O,C,KH,KW]`, optional bias `[O]` → output `[N,O,OH,OW]`.
 ///
 /// # Panics
 ///
@@ -121,42 +121,21 @@ pub fn conv2d(
     stride: usize,
     pad: usize,
 ) -> Tensor {
-    conv2d_with(crate::Backend::F32, input, weight, bias, stride, pad)
-}
-
-/// [`conv2d`] under an explicit compute [`crate::Backend`]: the per-sample
-/// im2col GEMM runs on the selected kernel family.
-///
-/// The weight tile is prepared once per call and reused across every
-/// sample in the batch: a posit-packed weight tensor matching a
-/// [`crate::Backend::PositQuire`] format is decoded into a plane straight
-/// from its code words (no f32 staging); f32 weights are decoded/quantized
-/// once per call — the decode-once contract extended over the batch
-/// dimension. A posit-packed *input* is decoded once at the im2col unfold
-/// (the unfold is a gather, defined on dense values).
-///
-/// # Panics
-///
-/// Panics on shape mismatches.
-pub fn conv2d_with(
-    backend: crate::Backend,
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    stride: usize,
-    pad: usize,
-) -> Tensor {
-    // Prepare the weight operand once for the whole batch (decode-once
-    // from packed bits or f32 for the quire backend, quantize-once for
-    // the emulated one).
-    let w_prep = backend.prepare_operand(weight.operand());
+    let w_prep = crate::Backend::F32.prepare_operand(weight.operand());
     conv2d_prepared(&w_prep, weight.shape(), input, bias, stride, pad)
 }
 
-/// [`conv2d_with`] over an already-prepared weight operand (`weight_shape`
-/// is its `[O,C,KH,KW]` shape) — the entry point for a weight tile cached
-/// across calls (see [`crate::Backend::prepare_tensor_cached`]), which
-/// skips even the once-per-call weight preparation of [`conv2d_with`].
+/// Forward convolution over a weight operand prepared under any
+/// [`crate::Backend`] (`weight_shape` is its `[O,C,KH,KW]` shape): the
+/// per-sample im2col GEMM runs on the backend's kernel family.
+///
+/// The weight tile is prepared once — per call, or across calls through
+/// [`crate::Backend::prepare_tensor_cached`] — and reused across every
+/// sample in the batch: a posit-packed weight tensor matching a
+/// [`crate::Backend::PositQuire`] format is decoded into a plane straight
+/// from its code words (no f32 staging). A posit-packed *input* is decoded
+/// once at the im2col unfold (the unfold is a gather, defined on dense
+/// values).
 ///
 /// # Panics
 ///
@@ -195,7 +174,14 @@ pub fn conv2d_prepared(
     for i in 0..n {
         im2col(&input.data()[i * sample..(i + 1) * sample], &g, &mut col);
         let dst = &mut out_data[i * out_sample..(i + 1) * out_sample];
-        w_prep.gemm(o, g.col_rows(), g.col_cols(), &col, dst);
+        w_prep.gemm_with(
+            crate::Layout::AB,
+            o,
+            g.col_rows(),
+            g.col_cols(),
+            col.as_slice(),
+            dst,
+        );
         if let Some(b) = bias {
             for (oc, &bv) in b.iter().enumerate() {
                 for v in &mut dst[oc * oh * ow..(oc + 1) * oh * ow] {
@@ -331,8 +317,8 @@ mod tests {
     #[test]
     fn backend_conv_matches_f32_on_exact_inputs() {
         // Inputs on coarse power-of-two grids are exactly representable in
-        // (16,1) and every dot fits the f32 mantissa, so all three backends
-        // must agree bitwise.
+        // (16,1) and every dot fits the f32 mantissa, so the quire backend
+        // must agree with f32 bitwise.
         use posit::{PositFormat, Rounding};
         let mut rng = Prng::seed(9);
         let quant = |t: &Tensor| t.map(|x| (x * 4.0).round() / 4.0);
@@ -340,19 +326,13 @@ mod tests {
         let weight = quant(&Tensor::rand_normal(&[3, 2, 3, 3], 0.0, 0.5, &mut rng));
         let want = conv2d(&input, &weight, None, 1, 1);
         let fmt = PositFormat::of(16, 1);
-        for backend in [
-            crate::Backend::PositEmulated {
-                fmt,
-                rounding: Rounding::NearestEven,
-            },
-            crate::Backend::PositQuire {
-                fmt,
-                rounding: Rounding::NearestEven,
-            },
-        ] {
-            let got = conv2d_with(backend, &input, &weight, None, 1, 1);
-            assert_eq!(got.data(), want.data(), "{}", backend.name());
-        }
+        let backend = crate::Backend::PositQuire {
+            fmt,
+            rounding: Rounding::NearestEven,
+        };
+        let w_prep = backend.prepare_operand(weight.operand());
+        let got = conv2d_prepared(&w_prep, weight.shape(), &input, None, 1, 1);
+        assert_eq!(got.data(), want.data());
     }
 
     #[test]

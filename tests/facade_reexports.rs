@@ -79,7 +79,7 @@ fn tensor_reexports_construct() {
 
 #[test]
 fn storage_reexports_construct() {
-    use posit_dnn::tensor::{Backend, Operand, PackedBits, Storage, StorageDomain};
+    use posit_dnn::tensor::{Backend, Layout, Operand, PackedBits, Storage, StorageDomain};
     let fmt = PositFormat::of(8, 1);
     let t = Tensor::from_vec(vec![1.0, -0.5, 2.0, 0.25], &[2, 2]);
     assert_eq!(t.domain(), StorageDomain::F32);
@@ -96,7 +96,8 @@ fn storage_reexports_construct() {
         rounding: Rounding::NearestEven,
     };
     let mut c = vec![0.0f32; 4];
-    bk.gemm_op(2, 2, 2, p.operand(), p.operand(), &mut c);
+    bk.prepare_operand(p.operand())
+        .gemm_with(Layout::AB, 2, 2, 2, p.operand(), &mut c);
     let want = t.matmul(&t);
     assert_eq!(c, want.data(), "exact operands: packed quire == f32");
     // Config validation re-exports.
