@@ -3,9 +3,9 @@
 #
 #   ci/run.sh [--quick]
 #
-# Runs every stage (fmt, lint, test, chaos-smoke, bench-smoke, doc) even
-# when an earlier one fails, timing each, then prints a summary table and
-# exits non-zero if any stage failed. `--quick` is forwarded to the test
+# Runs every stage (fmt, lint, test, chaos-smoke, perfbench-check,
+# bench-smoke, doc) even when an earlier one fails, timing each, then
+# prints a summary table and exits non-zero if any stage failed. `--quick` is forwarded to the test
 # stage (skips the release build).
 set -u
 cd "$(dirname "$0")/.."
@@ -15,7 +15,7 @@ for arg in "$@"; do
     [ "$arg" = "--quick" ] && quick="--quick"
 done
 
-stages="fmt lint test chaos-smoke bench-smoke doc"
+stages="fmt lint test chaos-smoke perfbench-check bench-smoke doc"
 results=""
 failed=0
 

@@ -105,11 +105,12 @@ fn bench_backends(c: &mut Criterion) {
     }
 }
 
-/// Sharded vs serial optimizer-step time under the exact data-parallel
-/// protocol (`dp-step.<model>/serial` vs `dp-step.<model>/sharded-x4`).
-/// The quire all-reduce makes the results bit-identical by construction;
-/// this row tracks what the lane split costs (or saves) in wall time so
-/// `BENCH_bench-smoke.json` carries the sharded-vs-serial trajectory.
+/// Sharded vs 1-shard optimizer-step time under the exact gradient batch
+/// (`dp-step.<model>/serial` vs `dp-step.<model>/sharded-x4`). Every
+/// shard adds into each parameter's one quire accumulator, so the results
+/// are bit-identical by construction; this row tracks what the split
+/// costs in wall time so `BENCH_bench-smoke.json` carries the
+/// sharded-vs-serial trajectory.
 fn bench_dp_step(c: &mut Criterion) {
     use posit_nn::{Layer, Sgd, SoftmaxCrossEntropy};
     use posit_tensor::Tensor;
@@ -147,7 +148,6 @@ fn bench_dp_step(c: &mut Criterion) {
                     for s in 0..lanes {
                         let rows = base + usize::from(s < extra);
                         let end = start + rows;
-                        net.begin_grad_shard();
                         let y = net.forward(&x.slice_rows(start, end), true).into_f32();
                         let (_, grad) = loss.forward_shard(&y, &t[start..end], batch);
                         net.backward(&grad);

@@ -10,20 +10,23 @@
 //! ```text
 //! cargo run --release -p posit-bench --bin ablations -- <warmup|scaling|es|rounding|master|all> [--quick]
 //! ```
+//!
+//! An unknown flag or ablation name is an error that lists the valid ones.
 
 use posit::{PositFormat, Rounding};
-use posit_bench::{run_logged, CifarExperiment, Scale};
+use posit_bench::{args_or_exit, run_logged, CifarExperiment, Scale};
 use posit_train::es_select::{select_es, LogRange};
 use posit_train::{MasterWeights, QuantSpec, RunOptions, Trainer};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let which = args_or_exit(
+        &args,
+        &["--quick"],
+        &["warmup", "scaling", "es", "rounding", "master", "all"],
+    )
+    .unwrap_or("all");
     let scale = Scale::from_args(&args);
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
 
     if which == "warmup" || which == "all" {
         ablate_warmup(scale);

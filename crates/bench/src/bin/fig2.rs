@@ -9,8 +9,10 @@
 //! ```text
 //! cargo run --release -p posit-bench --bin fig2 [-- --quick]
 //! ```
+//!
+//! Any other argument is an error.
 
-use posit_bench::{CifarExperiment, Scale};
+use posit_bench::{args_or_exit, CifarExperiment, Scale};
 use posit_train::stats::HistogramRecorder;
 use posit_train::{RunOptions, Trainer};
 
@@ -18,6 +20,7 @@ const PARAMS: [&str; 2] = ["conv1.weight", "layer4.0.bn1.weight"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    args_or_exit(&args, &["--quick"], &[]);
     let scale = Scale::from_args(&args);
     let exp = CifarExperiment::new(scale);
     let epochs = exp.config.epochs;

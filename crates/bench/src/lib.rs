@@ -54,9 +54,8 @@ pub fn backend_from_args(args: &[String]) -> ComputeBackend {
         .unwrap_or_default()
 }
 
-/// Parse `--data-parallel=<lanes>` and `--grad-accum=<steps>` flags (both
-/// default 1) — the exact sharded-trainer knobs of
-/// `TrainConfig::data_parallel` / `grad_accum_steps`.
+/// Parse the `--data-parallel=<shards>` flag (default 1) — the one shard
+/// knob, `TrainConfig::data_parallel`.
 ///
 /// Values above 1 require `--backend=posit-quire` (the exactness guarantee
 /// rests on quire accumulation; `TrainConfig::validate` rejects the rest)
@@ -65,20 +64,66 @@ pub fn backend_from_args(args: &[String]) -> ComputeBackend {
 ///
 /// # Panics
 ///
-/// Panics if either value is present but not a positive integer.
-pub fn dp_from_args(args: &[String]) -> (usize, usize) {
-    let parse = |key: &str| {
-        args.iter()
-            .find_map(|a| a.strip_prefix(key))
-            .map(|v| {
-                v.parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| panic!("{key} wants a positive integer, got '{v}'"))
-            })
-            .unwrap_or(1)
-    };
-    (parse("--data-parallel="), parse("--grad-accum="))
+/// Panics if the value is present but not a positive integer.
+pub fn dp_from_args(args: &[String]) -> usize {
+    args.iter()
+        .find_map(|a| a.strip_prefix("--data-parallel="))
+        .map(|v| {
+            v.parse::<usize>()
+                .ok()
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| panic!("--data-parallel= wants a positive integer, got '{v}'"))
+        })
+        .unwrap_or(1)
+}
+
+/// Check a binary's arguments against what it accepts, and return the
+/// experiment name (the one argument not starting with `--`), if any.
+///
+/// `flags` lists the accepted flags; one ending in `=` takes a value
+/// (`"--backend="` accepts `--backend=f32`). `names` lists the accepted
+/// experiment names (empty when the binary takes none). A typo must not
+/// silently run a different experiment, so an unknown flag, an unknown
+/// name or a second name is an error that lists the valid choices.
+///
+/// # Errors
+///
+/// Returns the message to print.
+pub fn check_args<'a>(
+    args: &'a [String],
+    flags: &[&str],
+    names: &[&str],
+) -> Result<Option<&'a str>, String> {
+    let mut name = None;
+    for a in args {
+        if a.starts_with("--") {
+            let known = flags.iter().any(|f| match f.strip_suffix('=') {
+                Some(_) => a.starts_with(f),
+                None => a == f,
+            });
+            if !known {
+                return Err(format!("unknown flag '{a}' (valid: {})", flags.join(", ")));
+            }
+        } else if !names.contains(&a.as_str()) {
+            return Err(if names.is_empty() {
+                format!("unexpected argument '{a}' (this binary takes no experiment name)")
+            } else {
+                format!("unknown experiment '{a}' (valid: {})", names.join(", "))
+            });
+        } else if let Some(first) = name.replace(a.as_str()) {
+            return Err(format!("two experiment names: '{first}' and '{a}'"));
+        }
+    }
+    Ok(name)
+}
+
+/// [`check_args`] for a binary's `main`: print the error and exit with
+/// status 2 on a bad command line.
+pub fn args_or_exit<'a>(args: &'a [String], flags: &[&str], names: &[&str]) -> Option<&'a str> {
+    check_args(args, flags, names).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// Model family for the training-table binaries.
@@ -87,7 +132,7 @@ pub enum TableModel {
     /// The paper's scaled ResNet-18 (default; contains batch norm).
     Resnet,
     /// BN-free LeNet — the batch-separable model that composes with
-    /// `--data-parallel`/`--grad-accum` (needs image side >= 16).
+    /// `--data-parallel` (needs image side >= 16).
     Lenet,
 }
 
@@ -293,4 +338,41 @@ pub fn ablation_specs() -> Vec<(&'static str, QuantSpec)> {
             QuantSpec::cifar_paper().without_scaling(),
         ),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(xs: &[&str]) -> Vec<String> {
+        xs.iter().map(|s| s.to_string()).collect()
+    }
+
+    const FLAGS: [&str; 2] = ["--quick", "--backend="];
+    const NAMES: [&str; 2] = ["cifar", "all"];
+
+    #[test]
+    fn check_args_accepts_known_flags_and_names() {
+        let a = args(&["--quick", "cifar", "--backend=posit-quire"]);
+        assert_eq!(check_args(&a, &FLAGS, &NAMES), Ok(Some("cifar")));
+        assert_eq!(check_args(&[], &FLAGS, &NAMES), Ok(None));
+    }
+
+    #[test]
+    fn check_args_rejects_unknown_flags_and_names() {
+        // A flag that takes no value must match exactly, and a stale flag
+        // must not be ignored.
+        for bad in ["--quick=1", "--grad-accum=4", "--backend"] {
+            let err = check_args(&args(&[bad]), &FLAGS, &NAMES).unwrap_err();
+            assert!(err.contains("unknown flag"), "{bad}: {err}");
+            assert!(err.contains("(valid: --quick, --backend=)"), "{err}");
+        }
+        let err = check_args(&args(&["cifr"]), &FLAGS, &NAMES).unwrap_err();
+        assert!(err.contains("unknown experiment 'cifr'"), "{err}");
+        assert!(err.contains("cifar, all"), "{err}");
+        let err = check_args(&args(&["cifar", "all"]), &FLAGS, &NAMES).unwrap_err();
+        assert!(err.contains("two experiment names"), "{err}");
+        let err = check_args(&args(&["cifar"]), &FLAGS, &[]).unwrap_err();
+        assert!(err.contains("takes no experiment name"), "{err}");
+    }
 }

@@ -281,17 +281,15 @@ pub struct TrainConfig {
     /// multiplied by `S` before backward and weight gradients divided by
     /// `S` before the update. `1.0` disables it (the paper's setting).
     pub loss_scale: f32,
-    /// Data-parallel lanes: each posit-phase mini-batch is split into this
-    /// many row shards whose gradients are reduced by an exact quire
-    /// all-reduce, so the result is bit-identical to the serial run for
-    /// *any* lane count. `1` (default) disables sharding. Values above 1
-    /// require the posit-quire backend (see [`TrainConfig::validate`]).
+    /// Shards per posit-phase step: the one shard knob. Each mini-batch
+    /// is split into this many contiguous row shards that run one after
+    /// another, every shard adding its gradients into the one exact quire
+    /// accumulator each parameter owns for the step, so the result is
+    /// bit-identical to the 1-shard run for *any* shard count. Warm-up
+    /// and calibration epochs always run whole batches. `1` (default)
+    /// disables sharding; values above 1 require the posit-quire backend
+    /// (see [`TrainConfig::validate`]).
     pub data_parallel: usize,
-    /// Gradient-accumulation micro-batches per optimizer step, on the same
-    /// exact-quire machinery as `data_parallel` (a step sees
-    /// `grad_accum_steps × data_parallel` contiguous shards). `1` (default)
-    /// disables accumulation.
-    pub grad_accum_steps: usize,
 }
 
 /// A structurally invalid [`TrainConfig`], caught by
@@ -311,10 +309,9 @@ pub enum ConfigError {
         /// Configured total epochs.
         epochs: usize,
     },
-    /// `data_parallel == 0` or `grad_accum_steps == 0`: a step needs at
-    /// least one lane and one micro-batch.
+    /// `data_parallel == 0`: a step needs at least one shard.
     ZeroShards,
-    /// Data parallelism / gradient accumulation was requested in a setup
+    /// More than one shard was requested in a setup
     /// that cannot reduce gradients exactly, so the bit-for-bit guarantee
     /// the feature exists for would silently not hold.
     DataParallelUnsupported {
@@ -341,10 +338,7 @@ impl fmt::Display for ConfigError {
                  warmup_epochs ({warmup_epochs}) >= epochs ({epochs})"
             ),
             ConfigError::ZeroShards => {
-                write!(
-                    f,
-                    "data_parallel and grad_accum_steps must be positive (got 0)"
-                )
+                write!(f, "data_parallel must be positive (got 0)")
             }
             ConfigError::DataParallelUnsupported { reason } => {
                 write!(f, "exact data parallelism unsupported: {reason}")
@@ -378,10 +372,10 @@ impl TrainConfig {
                 epochs: self.epochs,
             });
         }
-        if self.data_parallel == 0 || self.grad_accum_steps == 0 {
+        if self.data_parallel == 0 {
             return Err(ConfigError::ZeroShards);
         }
-        if self.data_parallel > 1 || self.grad_accum_steps > 1 {
+        if self.data_parallel > 1 {
             // The bit-for-bit guarantee rests on exact quire reduction, so
             // sharding is only offered where it can actually hold.
             let quant = self
@@ -428,7 +422,6 @@ impl TrainConfig {
             hist_epochs: vec![],
             loss_scale: 1.0,
             data_parallel: 1,
-            grad_accum_steps: 1,
         }
     }
 
@@ -476,17 +469,10 @@ impl TrainConfig {
         self
     }
 
-    /// Shard each posit-phase mini-batch across `lanes` data-parallel
-    /// lanes with exact quire all-reduce (bit-identical to serial).
-    pub fn with_data_parallel(mut self, lanes: usize) -> TrainConfig {
-        self.data_parallel = lanes;
-        self
-    }
-
-    /// Split each optimizer step into `steps` gradient-accumulation
-    /// micro-batches on the exact-quire machinery.
-    pub fn with_grad_accum(mut self, steps: usize) -> TrainConfig {
-        self.grad_accum_steps = steps;
+    /// Split each posit-phase step into `shards` row shards accumulated
+    /// exactly in quires (bit-identical to the 1-shard run).
+    pub fn with_data_parallel(mut self, shards: usize) -> TrainConfig {
+        self.data_parallel = shards;
         self
     }
 }
@@ -610,17 +596,13 @@ mod tests {
         let quire = QuantSpec::cifar_paper().with_backend(ComputeBackend::PositQuire);
         let ok = TrainConfig::cifar_scaled(4, 3)
             .with_quant(quire.clone())
-            .with_data_parallel(4)
-            .with_grad_accum(2);
+            .with_data_parallel(8);
         assert!(ok.validate().is_ok());
-        // Lanes/accum of 1 are always fine — they are the serial run.
+        // One shard is always fine — it is the unsharded step.
         assert!(TrainConfig::cifar_scaled(4, 3).validate().is_ok());
         let mut zs = ok.clone();
         zs.data_parallel = 0;
         assert_eq!(zs.validate(), Err(ConfigError::ZeroShards));
-        let mut zg = ok.clone();
-        zg.grad_accum_steps = 0;
-        assert_eq!(zg.validate(), Err(ConfigError::ZeroShards));
         // Sharding without the exact-reduction substrate is refused.
         let fp32 = TrainConfig::cifar_scaled(4, 3).with_data_parallel(2);
         assert!(matches!(
@@ -629,7 +611,7 @@ mod tests {
         ));
         let f32_kernels = TrainConfig::cifar_scaled(4, 3)
             .with_quant(QuantSpec::cifar_paper().with_backend(ComputeBackend::F32))
-            .with_grad_accum(2);
+            .with_data_parallel(2);
         assert!(matches!(
             f32_kernels.validate(),
             Err(ConfigError::DataParallelUnsupported { .. })

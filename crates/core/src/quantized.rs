@@ -177,10 +177,10 @@ pub struct Quantized {
     master_mode: MasterWeights,
     /// FP32 master copies stashed while the quantized view is installed.
     master: Option<Vec<Tensor>>,
-    /// True between `begin_grad_batch` and `end_grad_batch`: the inner
-    /// layer holds ΔW in exact quire buffers, so the per-backward ΔW
-    /// quantize edge is deferred until the all-reduce materializes the
-    /// gradients (one `P(·)` per optimizer step, as in the serial run).
+    /// True between `begin_grad_batch` and `end_grad_batch`: ΔW is
+    /// complete only when the batch closes (the quire backend holds it in
+    /// the parameters' exact accumulators until then), so the ΔW quantize
+    /// edge waits for `end_grad_batch` — one `P(·)` per optimizer step.
     grad_batch_open: bool,
     w_scale: ClassScale,
     a_scale: ClassScale,
@@ -300,6 +300,20 @@ impl Quantized {
         }
     }
 
+    /// The Fig. 3b `ΔW → P(·) → ΔW_p` edge over every parameter gradient
+    /// of the wrapped layer.
+    fn quantize_weight_grads(&mut self) {
+        let (sigma, scaling, rounding, fmt) = (self.sigma, self.scaling, self.rounding, self.g_fmt);
+        let gscale = &mut self.g_scale;
+        let sr = &mut self.sr_state;
+        let _edge = posit_obs::enabled()
+            .then(|| posit_obs::push_edge_label(&format!("{}.dw", self.inner.name())));
+        for p in self.inner.params_mut() {
+            let e = gscale.exp_or_lazy(p.grad.data(), sigma, scaling);
+            scale::shifted_quantize_slice(p.grad.data_mut(), &fmt, e, rounding, sr);
+        }
+    }
+
     /// Put the FP32 master values back (no-op under the posit-master
     /// ablation or when no view is installed).
     fn restore_master(&mut self) {
@@ -396,27 +410,17 @@ impl Layer for Quantized {
                 // The posit weight view has served forward + backward;
                 // restore the FP32 master before the optimizer step.
                 self.restore_master();
-                // Fig. 3b: ΔW → P(·) → ΔW_p (one accumulation per step).
-                // Under an open gradient batch the inner layer holds ΔW in
-                // quire buffers instead of Param::grad, so this edge moves
-                // to end_grad_batch — still once per step.
-                let sigma = self.sigma;
-                let scaling = self.scaling;
-                let rounding = self.rounding;
+                // Fig. 3b: ΔW → P(·) → ΔW_p, once per step. Under an open
+                // gradient batch ΔW is complete only when the batch
+                // closes, so the edge runs in end_grad_batch; a backward
+                // with no open batch is a batch of its own.
                 if !self.grad_batch_open {
-                    let fmt = self.g_fmt;
-                    let gscale = &mut self.g_scale;
-                    let sr = &mut self.sr_state;
-                    let _edge = posit_obs::enabled()
-                        .then(|| posit_obs::push_edge_label(&format!("{}.dw", self.inner.name())));
-                    for p in self.inner.params_mut() {
-                        let e = gscale.exp_or_lazy(p.grad.data(), sigma, scaling);
-                        scale::shifted_quantize_slice(p.grad.data_mut(), &fmt, e, rounding, sr);
-                    }
+                    self.quantize_weight_grads();
                 }
                 // Fig. 3b: E^{l-1} → P(·) → E^{l-1}_p — a storage
                 // transition under the quire backend, like the forward
                 // activation edge.
+                let (sigma, scaling, rounding) = (self.sigma, self.scaling, self.rounding);
                 let e = self.e_scale.exp_or_lazy(g.data(), sigma, scaling);
                 let _edge = posit_obs::enabled()
                     .then(|| posit_obs::push_edge_label(&format!("{}.e", self.inner.name())));
@@ -453,32 +457,17 @@ impl Layer for Quantized {
         self.inner.begin_grad_batch(total_samples);
     }
 
-    fn begin_grad_shard(&mut self) {
-        self.inner.begin_grad_shard();
-    }
-
     fn end_grad_batch(&mut self) {
         if !self.grad_batch_open {
             return;
         }
         self.grad_batch_open = false;
-        // The all-reduce materializes the exact whole-batch gradients …
+        // Round the exact whole-batch gradients once …
         self.inner.end_grad_batch();
-        // … and the deferred Fig. 3b ΔW edge quantizes them exactly once
-        // per optimizer step, as the serial run does.
+        // … then the deferred Fig. 3b ΔW edge quantizes them, once per
+        // optimizer step.
         if self.control.phase() == Phase::Posit {
-            let sigma = self.sigma;
-            let scaling = self.scaling;
-            let rounding = self.rounding;
-            let fmt = self.g_fmt;
-            let gscale = &mut self.g_scale;
-            let sr = &mut self.sr_state;
-            let _edge = posit_obs::enabled()
-                .then(|| posit_obs::push_edge_label(&format!("{}.dw", self.inner.name())));
-            for p in self.inner.params_mut() {
-                let e = gscale.exp_or_lazy(p.grad.data(), sigma, scaling);
-                scale::shifted_quantize_slice(p.grad.data_mut(), &fmt, e, rounding, sr);
-            }
+            self.quantize_weight_grads();
         }
     }
 

@@ -1,7 +1,7 @@
 //! The training harness: warm-up → calibration → posit phases, per
 //! §III-B/III-C of the paper.
 
-use crate::config::{ComputeBackend, QuantSpec, TrainConfig};
+use crate::config::{QuantSpec, TrainConfig};
 use crate::quantized::{Phase, QuantBuilder, QuantControl};
 use crate::scale;
 use crate::stats::HistogramRecorder;
@@ -11,6 +11,7 @@ use posit_nn::{checkpoint, metrics, Layer, Sequential, Sgd, SoftmaxCrossEntropy}
 use posit_store::{read_tensor, write_tensor, Store, StoreError};
 use posit_tensor::rng::{Prng, PrngState};
 use posit_tensor::Tensor;
+use std::borrow::Cow;
 
 /// Per-epoch record.
 #[derive(Debug, Clone)]
@@ -183,8 +184,7 @@ impl Trainer {
     /// Build the config's LeNet on `in_channels × side × side` inputs
     /// (`side >= 16`), wrapped with the quantization policy if one is
     /// configured. Unlike the ResNet it has no batch normalization, so it
-    /// is batch-separable and composes with `TrainConfig::data_parallel` /
-    /// `grad_accum_steps`.
+    /// is batch-separable and composes with `TrainConfig::data_parallel`.
     pub fn lenet(config: &TrainConfig, in_channels: usize, side: usize) -> Trainer {
         let mut rng = Prng::seed(config.seed);
         match &config.quant {
@@ -261,16 +261,14 @@ impl Trainer {
         self.input_q.apply(x, spec, control.phase());
     }
 
-    /// One optimizer step through the exact data-parallel shard protocol
-    /// (posit phase, quire backend). The batch is split into
-    /// `data_parallel × grad_accum_steps` contiguous near-equal shards;
-    /// each shard runs forward/backward with its per-shard weight and bias
-    /// gradients accumulated in quires, and `end_grad_batch` merges the
-    /// shard quires limb-wise (an exact all-reduce — integer addition, so
-    /// order- and partition-invariant) before rounding once into the
-    /// parameter gradients. The serial run is the 1-shard instance of the
-    /// same protocol, so any lane count × accumulation split reproduces it
-    /// bit-for-bit:
+    /// One optimizer step: one exact gradient batch. The batch is split
+    /// into `shards` contiguous near-equal row shards that run one after
+    /// another; each shard's forward/backward adds its weight and bias
+    /// gradients into the one accumulator each parameter owns for the
+    /// batch, and `end_grad_batch` rounds each exact sum once into the
+    /// parameter gradients. On the quire backend that sum is integer
+    /// addition, so how the batch is split cannot change a bit: any shard
+    /// count reproduces the 1-shard step bit-for-bit:
     ///
     /// - weight/bias gradients: exact quire sums, rounded once;
     /// - loss: per-sample `-ln p` folded in global sample order;
@@ -283,16 +281,16 @@ impl Trainer {
     ///   the gate requires a warm-up epoch so scales freeze unsharded).
     ///
     /// Returns `(mean loss, top-1 accuracy)` for the batch.
-    fn sharded_step(
+    fn step(
         &mut self,
         x: &Tensor,
         t: &[usize],
+        shards: usize,
         config: &TrainConfig,
         loss_fn: &SoftmaxCrossEntropy,
         opt: &mut Sgd,
     ) -> (f64, f64) {
         let n = t.len();
-        let shards = config.data_parallel * config.grad_accum_steps;
         let base = n / shards;
         let extra = n % shards;
         opt.zero_grad(&mut self.net.params_mut());
@@ -303,11 +301,14 @@ impl Trainer {
         for s in 0..shards {
             let rows = base + usize::from(s < extra);
             if rows == 0 {
-                continue; // batch smaller than the lane grid
+                continue; // batch smaller than the shard count
             }
             let end = start + rows;
-            self.net.begin_grad_shard();
-            let xs = x.slice_rows(start, end);
+            let xs = if rows == n {
+                Cow::Borrowed(x)
+            } else {
+                Cow::Owned(x.slice_rows(start, end))
+            };
             let ts = &t[start..end];
             let y = self.net.forward(&xs, true).into_f32();
             let (vals, mut g) = loss_fn.forward_shard(&y, ts, n);
@@ -413,8 +414,7 @@ impl Trainer {
         if let Err(e) = config.validate() {
             panic!("invalid TrainConfig: {e}");
         }
-        if (config.data_parallel > 1 || config.grad_accum_steps > 1) && !self.net.batch_separable()
-        {
+        if config.data_parallel > 1 && !self.net.batch_separable() {
             panic!(
                 "invalid TrainConfig: exact data parallelism requires batch-separable \
                  layers (batch normalization couples rows through batch statistics)"
@@ -449,33 +449,18 @@ impl Trainer {
             opt.set_lr(lr);
             let mut loss_meter = metrics::Meter::new();
             let mut acc_meter = metrics::Meter::new();
-            let exact_shards = phase == Phase::Posit
-                && config
-                    .quant
-                    .as_ref()
-                    .is_some_and(|q| q.backend == ComputeBackend::PositQuire);
+            // Warm-up and calibration run whole batches: their f32 sums
+            // and Eq. 2 statistics depend on the split (the config gate
+            // only admits more shards on the quire backend).
+            let shards = if phase == Phase::Posit {
+                config.data_parallel
+            } else {
+                1
+            };
             for (mut x, t) in loader.epoch() {
                 let _step = step_hist.as_ref().map(posit_obs::Span::start);
                 self.quantize_input(&mut x, config);
-                let (l, acc) = if exact_shards {
-                    self.sharded_step(&x, &t, config, &loss_fn, &mut opt)
-                } else {
-                    let y = self.net.forward(&x, true).into_f32();
-                    let (l, mut g) = loss_fn.forward(&y, &t);
-                    if config.loss_scale != 1.0 {
-                        g.scale(config.loss_scale);
-                    }
-                    opt.zero_grad(&mut self.net.params_mut());
-                    self.net.backward(&g);
-                    if config.loss_scale != 1.0 {
-                        let inv = 1.0 / config.loss_scale;
-                        for p in self.net.params_mut() {
-                            p.grad.scale(inv);
-                        }
-                    }
-                    opt.step(&mut self.net.params_mut());
-                    (l, metrics::top1_accuracy(&y, &t))
-                };
+                let (l, acc) = self.step(&x, &t, shards, config, &loss_fn, &mut opt);
                 loss_meter.update(l, t.len() as f64);
                 acc_meter.update(acc, t.len() as f64);
             }
@@ -1171,7 +1156,7 @@ mod tests {
         }
     }
 
-    /// A quantized LeNet trainer (no batch norm, so every lane grid is
+    /// A quantized LeNet trainer (no batch norm, so every shard count is
     /// admissible) for the data-parallel tests.
     fn lenet_trainer(cfg: &TrainConfig) -> Trainer {
         let mut rng = posit_tensor::rng::Prng::seed(cfg.seed);
@@ -1185,12 +1170,12 @@ mod tests {
     fn killed_and_resumed_data_parallel_run_matches_uninterrupted_serial_bit_exactly() {
         use crate::config::{ComputeBackend, MasterWeights};
         use posit_store::MemoryStore;
-        // The acceptance bar for the exact quire all-reduce: a run killed
-        // after epoch 2 of 3 while training on FOUR lanes, then resumed on
-        // a *different* grid (2 lanes × 2 accumulation steps), reproduces
-        // the uninterrupted SERIAL run bit-exactly. The checkpoint stores
-        // no shard geometry, so this also pins that checkpoint bytes are
-        // lane-count-independent.
+        // The acceptance bar for exact sharded steps: a run killed after
+        // epoch 2 of 3 while training on FOUR shards, then resumed on
+        // THREE (a split that does not divide the batch), reproduces the
+        // uninterrupted 1-shard run bit-exactly. The checkpoint stores no
+        // shard geometry, so this also pins that checkpoint bytes are
+        // shard-count-independent.
         let gen = SyntheticCifar::new(16, 11);
         let (train, test) = (gen.train(64, 1), gen.test(32, 1));
         let cfg = TrainConfig::cifar_scaled(4, 3).with_seed(3).with_quant(
@@ -1210,7 +1195,7 @@ mod tests {
             .unwrap();
         assert_eq!(partial.epochs.len(), 2);
 
-        let resume_cfg = cfg.clone().with_data_parallel(2).with_grad_accum(2);
+        let resume_cfg = cfg.clone().with_data_parallel(3);
         let mut resumed_trainer = lenet_trainer(&resume_cfg);
         let resumed = resumed_trainer
             .run(RunOptions::new(&train, &test, &resume_cfg).resumable(&store))
@@ -1223,7 +1208,7 @@ mod tests {
             assert_eq!(
                 a.train_loss.to_bits(),
                 b.train_loss.to_bits(),
-                "epoch {} train loss drifted across lane grids",
+                "epoch {} train loss drifted across shard counts",
                 a.epoch
             );
             assert_eq!(a.train_acc.to_bits(), b.train_acc.to_bits());

@@ -1,16 +1,16 @@
 //! The determinism suite for exact data-parallel training.
 //!
-//! Shard gradients accumulate in quires (integer fixed-point, exact), so
-//! merging per-shard partial sums is associative and commutative — the
-//! all-reduce rounds ONCE after an exact sum, and the result cannot depend
-//! on the lane count, the accumulation split, or the worker-pool width.
-//! These tests pin that claim end to end: training runs under
-//! `POSIT_TENSOR_THREADS ∈ {1, 2, 4, 7}` × lane counts × grad-accum
-//! splits must reproduce the serial baseline's loss curve, final packed
-//! weights and checkpoint bytes bit-for-bit.
+//! Every shard of a step adds its gradients into the one quire accumulator
+//! (integer fixed-point, exact) each parameter owns for the step, so the
+//! sum is associative and commutative and rounds ONCE — the result cannot
+//! depend on the shard count or the worker-pool width. These tests pin
+//! that claim end to end: training runs under
+//! `POSIT_TENSOR_THREADS ∈ {1, 2, 4, 7}` × shard counts must reproduce the
+//! 1-shard baseline's loss curve, final packed weights and checkpoint
+//! bytes bit-for-bit.
 //!
 //! The worker-pool width is latched in a process-global `OnceLock` at
-//! first use, so each (threads, lanes, accum) cell runs in a fresh child
+//! first use, so each (threads, shards) cell runs in a fresh child
 //! process: the test re-execs its own binary with `--exact <test name>`
 //! and env-var guards, and every child writes a textual fingerprint
 //! (per-epoch loss/accuracy bits + a key-by-key CRC of the final
@@ -27,7 +27,7 @@ use posit_train::{
 use std::fmt::Write as _;
 use std::process::Command;
 
-/// Child-mode env vars. `DPD_MODEL`/`DPD_LANES`/`DPD_ACCUM` select the
+/// Child-mode env vars. `DPD_MODEL`/`DPD_SHARDS` select the
 /// cell, `DPD_OUT` the fingerprint path; `DPD_EPOCHS` optionally truncates
 /// the schedule (the "killed" half of the resume scenario) and
 /// `DPD_STORE` routes checkpoints to a shared on-disk store.
@@ -63,15 +63,14 @@ fn trainer_for(model: &str, cfg: &TrainConfig) -> Trainer {
     Trainer::from_net(net, Some(control))
 }
 
-fn config_for(model: &str, epochs: usize, lanes: usize, accum: usize) -> TrainConfig {
+fn config_for(model: &str, epochs: usize, shards: usize) -> TrainConfig {
     let mut cfg = TrainConfig::cifar_scaled(4, epochs)
         .with_seed(3)
         .with_quant(quant())
-        .with_data_parallel(lanes)
-        .with_grad_accum(accum);
+        .with_data_parallel(shards);
     if model == "mlp" {
         cfg.num_classes = 4;
-        cfg.batch_size = 17; // deliberately not divisible by any lane grid
+        cfg.batch_size = 17; // deliberately not divisible by any shard count
     }
     cfg
 }
@@ -120,17 +119,16 @@ fn fingerprint(report: &TrainReport, store: &dyn Store) -> String {
     s
 }
 
-/// Run one (model, lanes, accum) training in this process and write the
+/// Run one (model, shards) training in this process and write the
 /// fingerprint to `DPD_OUT`.
 fn run_child() {
     let out = std::env::var(CHILD_GUARD).unwrap();
     let model = std::env::var("DPD_MODEL").unwrap();
-    let lanes: usize = std::env::var("DPD_LANES").unwrap().parse().unwrap();
-    let accum: usize = std::env::var("DPD_ACCUM").unwrap().parse().unwrap();
+    let shards: usize = std::env::var("DPD_SHARDS").unwrap().parse().unwrap();
     let epochs: usize = std::env::var("DPD_EPOCHS")
         .map(|e| e.parse().unwrap())
         .unwrap_or(2);
-    let mut cfg = config_for(&model, epochs, lanes, accum);
+    let mut cfg = config_for(&model, epochs, shards);
     // "Kill" the run early while keeping the full schedule (the LR
     // milestones are derived from `epochs`, so shortening the schedule
     // itself would train a different run, not a prefix of the same one).
@@ -173,12 +171,11 @@ fn spawn_cell(
     tag: &str,
     model: &str,
     threads: usize,
-    lanes: usize,
-    accum: usize,
+    shards: usize,
     extra: &[(&str, String)],
 ) -> Child {
-    let label = format!("{tag}: {model} threads={threads} lanes={lanes} accum={accum}");
-    let out = scratch.join(format!("{tag}-{model}-t{threads}-l{lanes}-a{accum}.fp"));
+    let label = format!("{tag}: {model} threads={threads} shards={shards}");
+    let out = scratch.join(format!("{tag}-{model}-t{threads}-s{shards}.fp"));
     let mut cmd = Command::new(std::env::current_exe().unwrap());
     cmd.stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
@@ -190,8 +187,7 @@ fn spawn_cell(
         .env("POSIT_TENSOR_THREADS", threads.to_string())
         .env(CHILD_GUARD, &out)
         .env("DPD_MODEL", model)
-        .env("DPD_LANES", lanes.to_string())
-        .env("DPD_ACCUM", accum.to_string());
+        .env("DPD_SHARDS", shards.to_string());
     for (k, v) in extra {
         cmd.env(k, v);
     }
@@ -224,48 +220,38 @@ fn data_parallel_training_is_bit_identical_to_serial() {
     std::fs::remove_dir_all(&scratch).ok();
     std::fs::create_dir_all(&scratch).unwrap();
 
-    // The sweep: every worker-pool width from the issue crossed with lane
-    // counts (1..5) and grad-accum splits (1, 2, 4), including grids that
-    // do not divide the batch (32, and 17 for the MLP), plus the serial
-    // baseline itself re-run on a wide pool.
-    let cells: &[(&str, usize, usize, usize)] = &[
-        ("lenet", 1, 4, 1),
-        ("lenet", 2, 2, 1),
-        ("lenet", 4, 4, 1),
-        ("lenet", 4, 1, 4),
-        ("lenet", 7, 3, 2),
-        ("lenet", 7, 1, 1),
-        ("mlp", 1, 2, 1),
-        ("mlp", 2, 2, 2),
-        ("mlp", 4, 4, 1),
-        ("mlp", 4, 5, 1),
-        ("mlp", 7, 1, 4),
-        ("mlp", 7, 1, 1),
+    // The sweep: every worker-pool width crossed with shard counts
+    // (1..6), including counts that do not divide the batch (32, and 17
+    // for the MLP), plus the 1-shard baseline itself re-run on a wide pool.
+    let cells: &[(&str, usize, usize)] = &[
+        ("lenet", 1, 4),
+        ("lenet", 2, 2),
+        ("lenet", 4, 4),
+        ("lenet", 7, 6),
+        ("lenet", 7, 1),
+        ("mlp", 1, 2),
+        ("mlp", 2, 4),
+        ("mlp", 4, 4),
+        ("mlp", 4, 5),
+        ("mlp", 7, 4),
+        ("mlp", 7, 1),
     ];
     let mut children = Vec::new();
-    // Serial baselines on a single-thread pool.
+    // 1-shard baselines on a single-thread pool.
     for model in ["lenet", "mlp"] {
-        children.push(spawn_cell(&scratch, "sweep", model, 1, 1, 1, &[]));
+        children.push(spawn_cell(&scratch, "sweep", model, 1, 1, &[]));
     }
-    for &(model, threads, lanes, accum) in cells {
-        children.push(spawn_cell(
-            &scratch,
-            "sweep",
-            model,
-            threads,
-            lanes,
-            accum,
-            &[],
-        ));
+    for &(model, threads, shards) in cells {
+        children.push(spawn_cell(&scratch, "sweep", model, threads, shards, &[]));
     }
 
-    // Resume scenario: kill a 2-lane run on a 2-thread pool after epoch 2
-    // of 3, resume it as 3 lanes on a 7-thread pool, and demand the
-    // uninterrupted serial run's bits (the checkpoint stores no shard
+    // Resume scenario: kill a 2-shard run on a 2-thread pool after epoch 2
+    // of 3, resume it as 3 shards on a 7-thread pool, and demand the
+    // uninterrupted 1-shard run's bits (the checkpoint stores no shard
     // geometry and no thread count).
     let store_dir = scratch.join("resume-store");
     let epochs3 = [("DPD_EPOCHS", "3".to_string())];
-    let serial3 = spawn_cell(&scratch, "resume", "mlp", 1, 1, 1, &epochs3);
+    let serial3 = spawn_cell(&scratch, "resume", "mlp", 1, 1, &epochs3);
     let serial3_fp = join(serial3);
     let prefix = spawn_cell(
         &scratch,
@@ -273,7 +259,6 @@ fn data_parallel_training_is_bit_identical_to_serial() {
         "mlp",
         2,
         2,
-        1,
         &[
             ("DPD_EPOCHS", "3".to_string()),
             ("DPD_TRUNCATE", "2".to_string()),
@@ -287,7 +272,6 @@ fn data_parallel_training_is_bit_identical_to_serial() {
         "mlp",
         7,
         3,
-        1,
         &[
             ("DPD_EPOCHS", "3".to_string()),
             ("DPD_STORE", store_dir.display().to_string()),
@@ -296,10 +280,10 @@ fn data_parallel_training_is_bit_identical_to_serial() {
     let resumed_fp = join(finish);
     assert_eq!(
         resumed_fp, serial3_fp,
-        "resume across thread counts and lane grids drifted from the serial run"
+        "resume across thread counts and shard counts drifted from the 1-shard run"
     );
 
-    // Sweep results: every cell must match its model's serial baseline.
+    // Sweep results: every cell must match its model's 1-shard baseline.
     let mut results = Vec::new();
     for c in children {
         let label = c.label.clone();
@@ -314,7 +298,7 @@ fn data_parallel_training_is_bit_identical_to_serial() {
         };
         assert_eq!(
             *fp, base.1,
-            "{label} diverged from the serial baseline ({})",
+            "{label} diverged from the 1-shard baseline ({})",
             base.0
         );
     }

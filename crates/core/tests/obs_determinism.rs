@@ -43,7 +43,6 @@ fn config() -> TrainConfig {
         .with_seed(3)
         .with_quant(quant())
         .with_data_parallel(2)
-        .with_grad_accum(1)
 }
 
 /// FNV-1a over the value bytes (same rationale as the data-parallel

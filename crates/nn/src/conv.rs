@@ -3,7 +3,7 @@
 use crate::layer::{Layer, LayerKind};
 use crate::param::Param;
 use posit_tensor::conv::{col2im, conv2d_prepared, im2col, ConvGeom};
-use posit_tensor::{Backend, GradQuireBuf, Layout, Operand, OperandCache, Tensor};
+use posit_tensor::{Backend, Layout, Operand, OperandCache, Tensor};
 
 /// `Conv2d`: NCHW convolution, square kernel, no dilation/groups (all the
 /// paper's ResNets need). Bias is optional — ResNet convs are bias-free
@@ -23,13 +23,6 @@ pub struct Conv2d {
     /// writes new weights.
     fwd_weight_cache: OperandCache,
     bwd_weight_cache: OperandCache,
-    /// Exact-gradient shard protocol (see [`Layer::begin_grad_batch`]):
-    /// `Some(total_samples)` while a batch is open, one lazily-created
-    /// buffer per shard (the construction margin is read off the operand
-    /// planes at first backward).
-    grad_batch: Option<usize>,
-    shard_dw: Vec<Option<GradQuireBuf>>,
-    shard_db: Vec<Option<GradQuireBuf>>,
 }
 
 impl Conv2d {
@@ -54,9 +47,6 @@ impl Conv2d {
             bwd_backend: Backend::F32,
             fwd_weight_cache: OperandCache::new(),
             bwd_weight_cache: OperandCache::new(),
-            grad_batch: None,
-            shard_dw: Vec::new(),
-            shard_db: Vec::new(),
         }
     }
 
@@ -122,6 +112,14 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let bwd = self.bwd_backend;
+        // Quire backend: every per-sample product lands in the parameters'
+        // exact accumulators, so ΔW and Δb round once per batch — here, at
+        // the end of the call, if this backward is a batch of its own.
+        let own_batch = matches!(bwd, Backend::PositQuire { .. }) && !self.weight.batch.is_open();
+        if own_batch {
+            self.begin_grad_batch(grad_out.shape()[0]);
+        }
         let input = self
             .cached_input
             .as_ref()
@@ -150,13 +148,7 @@ impl Layer for Conv2d {
         // a known, bounded cost (O(O·rows) per O(rows·O·cols) GEMM, a few
         // percent at the LeNet shapes) that batching the per-sample GEMMs
         // would remove at the price of restructuring col2im.
-        let w_prep = self
-            .bwd_backend
-            .prepare_tensor_cached(&self.weight.value, &mut self.bwd_weight_cache);
-        let bwd = self.bwd_backend;
-        let exact = self
-            .grad_batch
-            .filter(|_| matches!(bwd, Backend::PositQuire { .. }));
+        let w_prep = bwd.prepare_tensor_cached(&self.weight.value, &mut self.bwd_weight_cache);
         for i in 0..n {
             let dy = &grad_out.data()[i * sample_out..(i + 1) * sample_out];
             // ΔW += dY · colᵀ  — [O, cols] × [cols, rows]
@@ -165,32 +157,27 @@ impl Layer for Conv2d {
                 &g,
                 &mut col,
             );
-            if let Some(total) = exact {
-                // Shard-protocol path: every per-sample product lands in
-                // the shard's quire buffer, so ΔW accumulates exactly
-                // across the *whole* batch (the legacy path rounds once
-                // per sample) and merges shard-invariantly. The encode of
-                // the dense dy/col slices is element-wise, hence identical
-                // whatever shard a sample lands in.
-                let dy_plane = bwd.quire_operand_plane(Operand::F32(dy)).unwrap();
-                let col_plane = bwd.quire_operand_plane(Operand::F32(&col)).unwrap();
+            let planes = bwd
+                .quire_operand_plane(Operand::F32(dy))
+                .zip(bwd.quire_operand_plane(Operand::F32(&col)));
+            if let Some((dy_plane, col_plane)) = planes {
+                // The encode of the dense dy/col slices is element-wise,
+                // hence identical whatever shard a sample lands in.
                 let margin = dy_plane.quire_margin() + col_plane.quire_margin();
-                let slot = self
-                    .shard_dw
-                    .last_mut()
-                    .expect("backward outside begin_grad_shard");
-                slot.get_or_insert_with(|| {
-                    bwd.grad_quire_buf(o * rows, margin, total * cols)
-                        .expect("shard protocol requires a quire backend")
-                })
-                .accumulate_a_bt(o, cols, rows, &dy_plane, &col_plane);
-                if self.bias.is_some() {
-                    let slot = self.shard_db.last_mut().expect("shard state out of sync");
-                    slot.get_or_insert_with(|| {
-                        bwd.grad_quire_buf(o, dy_plane.quire_margin(), total * cols)
-                            .expect("shard protocol requires a quire backend")
+                self.weight
+                    .batch
+                    .acc(|total| {
+                        bwd.grad_quire_buf(o * rows, margin, total * cols)
+                            .expect("quire backend")
                     })
-                    .accumulate_row_sums(o, cols, &dy_plane);
+                    .accumulate_a_bt(o, cols, rows, &dy_plane, &col_plane);
+                if let Some(b) = &mut self.bias {
+                    b.batch
+                        .acc(|total| {
+                            bwd.grad_quire_buf(o, dy_plane.quire_margin(), total * cols)
+                                .expect("quire backend")
+                        })
+                        .accumulate_row_sums(o, cols, &dy_plane);
                 }
             } else {
                 bwd.prepare(dy).gemm_with(
@@ -201,6 +188,11 @@ impl Layer for Conv2d {
                     col.as_slice(),
                     self.weight.grad.data_mut(),
                 );
+                if let Some(b) = &mut self.bias {
+                    for (oc, gb) in b.grad.data_mut().iter_mut().enumerate() {
+                        *gb += dy[oc * cols..(oc + 1) * cols].iter().sum::<f32>();
+                    }
+                }
             }
             // dX_col = Wᵀ · dY — [rows, O] × [O, cols]
             dcol.fill(0.0);
@@ -211,15 +203,8 @@ impl Layer for Conv2d {
                 &mut grad_in.data_mut()[i * sample_in..(i + 1) * sample_in],
             );
         }
-        if exact.is_none() {
-            if let Some(b) = &mut self.bias {
-                for i in 0..n {
-                    let dy = &grad_out.data()[i * sample_out..(i + 1) * sample_out];
-                    for (oc, gb) in b.grad.data_mut().iter_mut().enumerate() {
-                        *gb += dy[oc * cols..(oc + 1) * cols].iter().sum::<f32>();
-                    }
-                }
-            }
+        if own_batch {
+            self.end_grad_batch();
         }
         grad_in
     }
@@ -242,39 +227,6 @@ impl Layer for Conv2d {
 
     fn set_compute_backends(&mut self, forward: Backend, backward: Backend) {
         self.set_backends(forward, backward);
-    }
-
-    fn begin_grad_batch(&mut self, total_samples: usize) {
-        self.grad_batch = Some(total_samples);
-        self.shard_dw.clear();
-        self.shard_db.clear();
-    }
-
-    fn begin_grad_shard(&mut self) {
-        self.shard_dw.push(None);
-        self.shard_db.push(None);
-    }
-
-    fn end_grad_batch(&mut self) {
-        if self.grad_batch.take().is_none() {
-            return;
-        }
-        let mut dw = std::mem::take(&mut self.shard_dw).into_iter().flatten();
-        if let Some(mut total) = dw.next() {
-            for shard in dw {
-                total.merge_from(&shard);
-            }
-            total.round_into(self.weight.grad.data_mut());
-        }
-        let mut db = std::mem::take(&mut self.shard_db).into_iter().flatten();
-        if let Some(mut total) = db.next() {
-            for shard in db {
-                total.merge_from(&shard);
-            }
-            if let Some(b) = &mut self.bias {
-                total.round_into(b.grad.data_mut());
-            }
-        }
     }
 }
 
@@ -383,7 +335,9 @@ mod tests {
     #[test]
     fn shard_protocol_grads_are_shard_invariant() {
         // Whatever shard split the 6-sample batch takes, ΔW and Δb from
-        // the quire protocol must agree bit-for-bit with the 1-shard run.
+        // the quire protocol must agree bit-for-bit with the 1-shard run —
+        // and so must a backward with no open batch, which is a batch of
+        // its own (rounded once, not once per sample).
         let fmt = posit::PositFormat::of(16, 1);
         let qui = Backend::PositQuire {
             fmt,
@@ -402,7 +356,6 @@ mod tests {
             l.begin_grad_batch(n);
             let mut start = 0;
             for &rows in splits {
-                l.begin_grad_shard();
                 l.forward(&input.slice_rows(start, start + rows), true);
                 l.backward(&dy.slice_rows(start, start + rows));
                 start += rows;
@@ -417,6 +370,20 @@ mod tests {
             assert_eq!(dw.data(), dw1.data(), "dW {splits:?}");
             assert_eq!(db.data(), db1.data(), "db {splits:?}");
         }
+        let mut unbatched = Conv2d::new("c", weight.clone(), Some(bias.clone()), 1, 1);
+        unbatched.set_backends(qui, qui);
+        unbatched.forward(&input, true);
+        unbatched.backward(&dy);
+        assert_eq!(
+            unbatched.params()[0].grad.data(),
+            dw1.data(),
+            "dW unbatched"
+        );
+        assert_eq!(
+            unbatched.params()[1].grad.data(),
+            db1.data(),
+            "db unbatched"
+        );
     }
 
     #[test]

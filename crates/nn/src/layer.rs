@@ -96,25 +96,39 @@ pub trait Layer: Send {
         true
     }
 
-    /// Open a gradient batch of `total_samples` rows under the exact
-    /// shard protocol: until [`Layer::end_grad_batch`], parameter
-    /// gradients are held in quire accumulators instead of being rounded
-    /// into [`Param::grad`] per backward call. `total_samples` is the
-    /// *whole* batch's row count (all shards and micro-batches), so every
-    /// shard sizes its accumulators identically. Default: no-op (layers
-    /// without parameters, or whose backward already writes exact grads).
-    fn begin_grad_batch(&mut self, _total_samples: usize) {}
+    /// Open a gradient batch of `total_samples` rows. A training step is
+    /// one such batch: the trainer runs its shards one after another, and
+    /// until [`Layer::end_grad_batch`] every quire-backend backward adds
+    /// its `ΔW` products into the one exact accumulator each parameter
+    /// owns ([`Param::batch`]) instead of rounding into
+    /// [`Param::grad`]. `total_samples` is the whole batch's row count,
+    /// so the accumulator is sized for every shard it will see. A backward
+    /// with no open batch counts as a batch of its own.
+    ///
+    /// Default: open the batch on every parameter of
+    /// [`Layer::params_mut`] — right for every leaf layer. Containers
+    /// forward to their children, so wrappers that act at the batch
+    /// boundary (the trainer's `Quantized`) see the call.
+    fn begin_grad_batch(&mut self, total_samples: usize) {
+        for p in self.params_mut() {
+            p.begin_grad_batch(total_samples);
+        }
+    }
 
-    /// Start the next shard within the open gradient batch: subsequent
-    /// backward calls accumulate into a fresh per-shard quire set, to be
-    /// all-reduced at [`Layer::end_grad_batch`]. Default: no-op.
+    /// Unused: shards add into the batch's one accumulator per parameter,
+    /// so there is no per-shard state to open. Only the benchmark's timing
+    /// wrapper (`perfbench/src/trace.rs`) still forwards it. Default:
+    /// no-op.
     fn begin_grad_shard(&mut self) {}
 
-    /// Close the gradient batch: merge every shard's quire accumulators
-    /// (exact integer adds — any merge order gives the same sums) and
-    /// round each gradient element once into [`Param::grad`]. Default:
-    /// no-op.
-    fn end_grad_batch(&mut self) {}
+    /// Close the gradient batch: round each parameter's exact sum once
+    /// into [`Param::grad`] ([`Param::end_grad_batch`]). Default: close
+    /// the batch on every parameter of [`Layer::params_mut`].
+    fn end_grad_batch(&mut self) {
+        for p in self.params_mut() {
+            p.end_grad_batch();
+        }
+    }
 }
 
 /// Rectified linear unit.
@@ -338,12 +352,6 @@ impl Layer for Sequential {
         }
     }
 
-    fn begin_grad_shard(&mut self) {
-        for layer in &mut self.layers {
-            layer.begin_grad_shard();
-        }
-    }
-
     fn end_grad_batch(&mut self) {
         for layer in &mut self.layers {
             layer.end_grad_batch();
@@ -465,11 +473,6 @@ impl Layer for Residual {
     fn begin_grad_batch(&mut self, total_samples: usize) {
         self.main.begin_grad_batch(total_samples);
         self.shortcut.begin_grad_batch(total_samples);
-    }
-
-    fn begin_grad_shard(&mut self) {
-        self.main.begin_grad_shard();
-        self.shortcut.begin_grad_shard();
     }
 
     fn end_grad_batch(&mut self) {

@@ -33,5 +33,5 @@ pub use layer::{Flatten, Layer, LayerKind, ReLU, Residual, Sequential};
 pub use linear::Linear;
 pub use loss::SoftmaxCrossEntropy;
 pub use optim::{Sgd, StepLr};
-pub use param::Param;
+pub use param::{GradBatch, Param};
 pub use pool::{GlobalAvgPool, MaxPool2d};

@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, LayerKind};
 use crate::param::Param;
-use posit_tensor::{Backend, GradQuireBuf, Layout, OperandCache, Tensor};
+use posit_tensor::{Backend, Layout, OperandCache, Tensor};
 
 /// `Linear`: `y[N,out] = x[N,in] · Wᵀ + b`, weight stored `[out, in]`.
 pub struct Linear {
@@ -19,13 +19,6 @@ pub struct Linear {
     /// hence two slots.
     fwd_weight_cache: OperandCache,
     bwd_weight_cache: OperandCache,
-    /// Exact-gradient shard protocol (see [`Layer::begin_grad_batch`]):
-    /// `Some(total_samples)` while a batch is open. One lazily-created
-    /// buffer per shard — lazily because the construction margin comes
-    /// from the operand planes' scale shifts, seen first in `backward`.
-    grad_batch: Option<usize>,
-    shard_dw: Vec<Option<GradQuireBuf>>,
-    shard_db: Vec<Option<GradQuireBuf>>,
 }
 
 impl Linear {
@@ -42,9 +35,6 @@ impl Linear {
             bwd_backend: Backend::F32,
             fwd_weight_cache: OperandCache::new(),
             bwd_weight_cache: OperandCache::new(),
-            grad_batch: None,
-            shard_dw: Vec::new(),
-            shard_db: Vec::new(),
         }
     }
 
@@ -113,35 +103,38 @@ impl Layer for Linear {
         let n = input.shape()[0];
         let (o, k) = (self.out_features(), self.in_features());
         let bwd = self.bwd_backend;
-        let exact = self.grad_batch.and_then(|total| {
-            let dy = bwd.quire_operand_plane(grad_out.operand())?;
-            let x = bwd.quire_operand_plane(input.operand())?;
-            Some((total, dy, x))
-        });
-        if let Some((total, dy, x)) = exact {
-            // Shard-protocol path: ΔW and Δb land in per-shard quire
-            // buffers, all-reduced and rounded once in `end_grad_batch`.
-            // Margins come from the planes' scale shifts, which are
-            // shard-invariant (the input plane's scale exponent is frozen
-            // on the whole batch before sharding), so every shard builds
-            // an identical — hence mergeable — buffer.
+        let planes = bwd
+            .quire_operand_plane(grad_out.operand())
+            .zip(bwd.quire_operand_plane(input.operand()));
+        if let Some((dy, x)) = planes {
+            // Quire backend: ΔW and Δb land in the parameters' exact
+            // accumulators and round once when the batch closes — here,
+            // if this backward is a batch of its own. The margins come
+            // from the planes' scale shifts, which are the same for every
+            // shard (the input plane's scale exponent is frozen on the
+            // whole batch before sharding).
+            let own_batch = !self.weight.batch.is_open();
+            if own_batch {
+                self.begin_grad_batch(n);
+            }
             let margin = dy.quire_margin() + x.quire_margin();
-            let slot = self
-                .shard_dw
-                .last_mut()
-                .expect("backward outside begin_grad_shard");
-            slot.get_or_insert_with(|| {
-                bwd.grad_quire_buf(o * k, margin, total)
-                    .expect("shard protocol requires a quire backend")
-            })
-            .accumulate_at_b(o, n, k, &dy, &x);
-            if self.bias.is_some() {
-                let slot = self.shard_db.last_mut().expect("shard state out of sync");
-                slot.get_or_insert_with(|| {
-                    bwd.grad_quire_buf(o, dy.quire_margin(), total)
-                        .expect("shard protocol requires a quire backend")
+            self.weight
+                .batch
+                .acc(|total| {
+                    bwd.grad_quire_buf(o * k, margin, total)
+                        .expect("quire backend")
                 })
-                .accumulate_col_sums(n, o, &dy);
+                .accumulate_at_b(o, n, k, &dy, &x);
+            if let Some(b) = &mut self.bias {
+                b.batch
+                    .acc(|total| {
+                        bwd.grad_quire_buf(o, dy.quire_margin(), total)
+                            .expect("quire backend")
+                    })
+                    .accumulate_col_sums(n, o, &dy);
+            }
+            if own_batch {
+                self.end_grad_batch();
             }
         } else {
             // ΔW += dYᵀ · X — [o, n] × [n, k]
@@ -192,42 +185,6 @@ impl Layer for Linear {
     fn set_compute_backends(&mut self, forward: Backend, backward: Backend) {
         self.set_backends(forward, backward);
     }
-
-    fn begin_grad_batch(&mut self, total_samples: usize) {
-        self.grad_batch = Some(total_samples);
-        self.shard_dw.clear();
-        self.shard_db.clear();
-    }
-
-    fn begin_grad_shard(&mut self) {
-        self.shard_dw.push(None);
-        self.shard_db.push(None);
-    }
-
-    fn end_grad_batch(&mut self) {
-        if self.grad_batch.take().is_none() {
-            return;
-        }
-        // The exact all-reduce: integer-merge every shard's accumulators,
-        // then round each gradient element once. Empty (never-touched)
-        // shard slots drop out of the fold.
-        let mut dw = std::mem::take(&mut self.shard_dw).into_iter().flatten();
-        if let Some(mut total) = dw.next() {
-            for shard in dw {
-                total.merge_from(&shard);
-            }
-            total.round_into(self.weight.grad.data_mut());
-        }
-        let mut db = std::mem::take(&mut self.shard_db).into_iter().flatten();
-        if let Some(mut total) = db.next() {
-            for shard in db {
-                total.merge_from(&shard);
-            }
-            if let Some(b) = &mut self.bias {
-                total.round_into(b.grad.data_mut());
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -276,8 +233,9 @@ mod tests {
     #[test]
     fn shard_protocol_grads_are_shard_invariant() {
         // Any shard split of the batch — including uneven ones — must
-        // produce bit-identical ΔW and Δb, and the 1-shard protocol must
-        // equal the legacy round-once GEMM for ΔW.
+        // produce bit-identical ΔW and Δb; a backward with no open batch
+        // is the 1-shard batch, and its ΔW is the quire GEMM's round-once
+        // result.
         let fmt = posit::PositFormat::of(16, 1);
         let qui = Backend::PositQuire {
             fmt,
@@ -296,7 +254,6 @@ mod tests {
             l.begin_grad_batch(n);
             let mut start = 0;
             for &rows in splits {
-                l.begin_grad_shard();
                 l.forward(&x.slice_rows(start, start + rows), true);
                 l.backward(&dy.slice_rows(start, start + rows));
                 start += rows;
@@ -311,11 +268,24 @@ mod tests {
             assert_eq!(dw.data(), dw1.data(), "dW {splits:?}");
             assert_eq!(db.data(), db1.data(), "db {splits:?}");
         }
-        let mut legacy = Linear::new("fc", w.clone(), Some(b.clone()));
-        legacy.set_backends(qui, qui);
-        legacy.forward(&x, true);
-        legacy.backward(&dy);
-        assert_eq!(dw1.data(), legacy.params()[0].grad.data());
+        let mut unbatched = Linear::new("fc", w.clone(), Some(b.clone()));
+        unbatched.set_backends(qui, qui);
+        unbatched.forward(&x, true);
+        unbatched.backward(&dy);
+        assert_eq!(
+            unbatched.params()[0].grad.data(),
+            dw1.data(),
+            "dW unbatched"
+        );
+        assert_eq!(
+            unbatched.params()[1].grad.data(),
+            db1.data(),
+            "db unbatched"
+        );
+        let mut gemm = vec![0.0f32; 3 * 5];
+        qui.prepare_operand(dy.operand())
+            .gemm_with(Layout::AtB, 3, n, 5, x.operand(), &mut gemm);
+        assert_eq!(dw1.data(), gemm.as_slice(), "dW vs the quire GEMM");
     }
 
     #[test]

@@ -1,29 +1,27 @@
-//! Exact gradient accumulation buffers for deterministic data parallelism.
+//! Exact gradient accumulation buffers for deterministic sharded steps.
 //!
-//! A data-parallel training step shards a mini-batch across lanes, runs
-//! per-shard backward passes, and reduces the per-shard gradients. With f32
-//! partial sums the reduction order leaks into the result — the reason
-//! distributed training is famously non-reproducible. The quire removes the
-//! leak: every product of a gradient GEMM lands in an exact fixed-point
-//! accumulator, per-shard accumulators merge by *integer addition*
-//! ([`posit::Quire::merge_from`]), and the merged sum rounds to a posit
+//! A training step may split its mini-batch into row shards that run one
+//! after another. With f32 partial sums the split leaks into the result —
+//! the reason sharded and distributed training is famously
+//! non-reproducible. The quire removes the leak: every product of a
+//! gradient GEMM lands in an exact fixed-point accumulator, every shard
+//! adds into the *same* accumulator, and the batch's sum rounds to a posit
 //! exactly once. The rounded gradient is therefore a pure function of the
-//! product multiset — independent of shard count, shard boundaries, lane
-//! assignment and reduction order.
+//! product multiset — independent of shard count, shard boundaries and
+//! accumulation order.
 //!
 //! [`GradQuireBuf`] packages that for a whole gradient tensor: one exact
 //! accumulator per element, the same narrow-`i128`/wide-limb-array choice
 //! as the [`crate::posit_gemm`] kernels (decided from the *whole batch's*
-//! reduction depth `k_total`, so every shard picks the same representation
-//! and no shard can overflow the narrow guard bits), the kernels' zero/NaR
-//! element conventions, and a single [`GradQuireBuf::round_into`] at the
-//! end of the batch.
+//! reduction depth `k_total`, so no shard can overflow the narrow guard
+//! bits), the kernels' zero/NaR element conventions, and a single
+//! [`GradQuireBuf::round_into`] at the end of the batch.
 
 use crate::posit_gemm::{PositPlane, Unpacked};
 use posit::{NarrowQuire, PositFormat, Quire, Rounding};
 
-/// One exact quire accumulator per gradient element, mergeable across
-/// shards and rounded once per optimizer step.
+/// One exact quire accumulator per gradient element, fed by every shard
+/// of a batch and rounded once per optimizer step.
 #[derive(Debug, Clone)]
 pub struct GradQuireBuf {
     fmt: PositFormat,
@@ -43,10 +41,10 @@ impl GradQuireBuf {
     /// operand planes carry at most `margin` total scale-shift bits.
     ///
     /// `k_total` is the reduction depth of the *whole* batch (every product
-    /// that will ever be accumulated into one element, across all shards
-    /// and grad-accum steps): it drives the narrow-vs-wide choice exactly
-    /// like the GEMM kernels' per-call `K`, so a shard never picks a
-    /// representation the merged total would overflow.
+    /// that will ever be accumulated into one element, across all shards):
+    /// it drives the narrow-vs-wide choice exactly like the GEMM kernels'
+    /// per-call `K`, so the batch's total can never overflow the chosen
+    /// representation.
     ///
     /// [`Rounding::Stochastic`] degrades to nearest-even like the kernels
     /// (no per-element random stream here either).
@@ -249,35 +247,6 @@ impl GradQuireBuf {
         }
     }
 
-    /// Exact all-reduce step: integer-merge another shard's accumulators
-    /// into this one (see [`posit::Quire::merge_from`] — associative,
-    /// commutative, NaR-absorbing). Both buffers must come from the same
-    /// construction (format, margin, narrow/wide choice, length), which
-    /// holds whenever every shard sizes its buffer from the same
-    /// whole-batch `k_total`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on construction mismatches.
-    pub fn merge_from(&mut self, other: &GradQuireBuf) {
-        assert_eq!(self.fmt, other.fmt, "format mismatch");
-        assert_eq!(self.margin, other.margin, "margin mismatch");
-        assert_eq!(self.len(), other.len(), "length mismatch");
-        match (&mut self.accs, &other.accs) {
-            (Accs::Narrow(a), Accs::Narrow(b)) => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    x.merge_from(y);
-                }
-            }
-            (Accs::Wide(a), Accs::Wide(b)) => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    x.merge_from(y);
-                }
-            }
-            _ => panic!("GradQuireBuf::merge_from: narrow/wide representation mismatch"),
-        }
-    }
-
     /// Round every accumulator once and add the results into `out` — the
     /// single `P(·)` edge of the whole batch's gradient, bit-identical to a
     /// one-shard run because the exact sums are.
@@ -370,9 +339,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_merge_matches_one_shard_any_split() {
-        // Shard the batch every possible way (plus reversed reduce order):
-        // the merged result must equal the 1-shard buffer bit-for-bit.
+    fn sharded_accumulate_matches_one_shard_any_split() {
+        // Shard the batch every possible way, feeding every shard into one
+        // buffer (in reverse shard order, too): the result must equal the
+        // 1-shard buffer bit-for-bit.
         let fmt = PositFormat::of(8, 1);
         let (o, n, feat) = (2, 12, 3);
         let dy: Vec<f32> = (0..n * o)
@@ -387,33 +357,35 @@ mod tests {
         whole.round_into(&mut want);
 
         for shards in 1..=n {
-            let mut parts = Vec::new();
             let base = n / shards;
             let extra = n % shards;
+            let mut bounds = Vec::new();
             let mut start = 0;
             for s in 0..shards {
                 let rows = base + usize::from(s < extra);
-                if rows == 0 {
-                    continue;
-                }
-                let mut buf = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, n, o * feat);
-                buf.accumulate_at_b(
-                    o,
-                    rows,
-                    feat,
-                    &plane(fmt, &dy[start * o..(start + rows) * o]),
-                    &plane(fmt, &x[start * feat..(start + rows) * feat]),
-                );
-                parts.push(buf);
+                bounds.push((start, rows));
                 start += rows;
             }
-            let mut acc = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, n, o * feat);
-            for p in parts.iter().rev() {
-                acc.merge_from(p);
+            for reversed in [false, true] {
+                let mut acc = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, n, o * feat);
+                let order: Vec<_> = if reversed {
+                    bounds.iter().rev().collect()
+                } else {
+                    bounds.iter().collect()
+                };
+                for &(start, rows) in order {
+                    acc.accumulate_at_b(
+                        o,
+                        rows,
+                        feat,
+                        &plane(fmt, &dy[start * o..(start + rows) * o]),
+                        &plane(fmt, &x[start * feat..(start + rows) * feat]),
+                    );
+                }
+                let mut got = vec![0.0f32; o * feat];
+                acc.round_into(&mut got);
+                assert_eq!(got, want, "{shards} shards, reversed {reversed}");
             }
-            let mut got = vec![0.0f32; o * feat];
-            acc.round_into(&mut got);
-            assert_eq!(got, want, "{shards} shards");
         }
     }
 
@@ -432,13 +404,12 @@ mod tests {
         assert!(want[2].is_nan(), "NaR absorbs into its column");
         assert!(!want[0].is_nan() && !want[3].is_nan());
 
-        let mut a = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, rows, cols);
-        a.accumulate_col_sums(4, cols, &plane(fmt, &dy[..4 * cols]));
-        let mut b = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, rows, cols);
-        b.accumulate_col_sums(5, cols, &plane(fmt, &dy[4 * cols..]));
-        b.merge_from(&a);
+        // Second shard first: the NaR row lands after finite sums.
+        let mut acc = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, rows, cols);
+        acc.accumulate_col_sums(5, cols, &plane(fmt, &dy[4 * cols..]));
+        acc.accumulate_col_sums(4, cols, &plane(fmt, &dy[..4 * cols]));
         let mut got = vec![0.0f32; cols];
-        b.round_into(&mut got);
+        acc.round_into(&mut got);
         for j in 0..cols {
             if want[j].is_nan() {
                 assert!(got[j].is_nan());
@@ -475,8 +446,8 @@ mod tests {
     #[test]
     fn deep_k_total_picks_the_wide_representation() {
         // (16,1) narrows up to K=8192; a batch-wide reduction depth beyond
-        // that must fall back to wide quires — and still merge/round the
-        // same values.
+        // that must fall back to wide quires — and still accumulate and
+        // round the same values.
         let fmt = PositFormat::of(16, 1);
         let narrow = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, 8192, 4);
         assert!(narrow.is_narrow());
@@ -485,19 +456,8 @@ mod tests {
         let xs = [1.5f32, -0.25, 3.0, 0.0625];
         let mut a = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, 8193, 4);
         a.accumulate_col_sums(1, 4, &plane(fmt, &xs));
-        let mut b = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, 8193, 4);
-        b.merge_from(&a);
         let mut out = vec![0.0f32; 4];
-        b.round_into(&mut out);
+        a.round_into(&mut out);
         assert_eq!(out, xs.to_vec());
-    }
-
-    #[test]
-    #[should_panic(expected = "representation mismatch")]
-    fn merging_across_representations_panics() {
-        let fmt = PositFormat::of(16, 1);
-        let mut a = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, 8, 2);
-        let b = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, 100_000, 2);
-        a.merge_from(&b);
     }
 }

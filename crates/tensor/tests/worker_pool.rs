@@ -106,8 +106,8 @@ fn pooled_kernels_match_serial_bit_for_bit() {
 
     // Shard-protocol gradient buffers on the pooled backend: a 37-sample
     // batch (not divisible by the lane count) split unevenly, and the
-    // 1-shard degenerate case, must merge to the serial buffer's rounded
-    // grads bit-for-bit.
+    // 1-shard degenerate case, every shard accumulated into one buffer,
+    // must round to the serial buffer's grads bit-for-bit.
     let bwd = Backend::PositQuire {
         fmt: PositFormat::of(16, 1),
         rounding: Rounding::NearestEven,
@@ -127,7 +127,7 @@ fn pooled_kernels_match_serial_bit_for_bit() {
     let mut want = vec![0.0f32; o * kin];
     serial_buf.round_into(&mut want);
     for splits in [vec![batch], vec![19, 18], vec![9, 9, 9, 10], vec![36, 1]] {
-        let mut shards = Vec::new();
+        let mut total = bwd.grad_quire_buf(o * kin, margin, batch).unwrap();
         let mut start = 0usize;
         for &rows in &splits {
             let end = start + rows;
@@ -137,14 +137,8 @@ fn pooled_kernels_match_serial_bit_for_bit() {
             let xss = bwd
                 .quire_operand_plane(Operand::F32(&xs[start * kin..end * kin]))
                 .unwrap();
-            let mut buf = bwd.grad_quire_buf(o * kin, margin, batch).unwrap();
-            buf.accumulate_at_b(o, rows, kin, &dys, &xss);
-            shards.push(buf);
+            total.accumulate_at_b(o, rows, kin, &dys, &xss);
             start = end;
-        }
-        let mut total = shards.remove(0);
-        for s in &shards {
-            total.merge_from(s);
         }
         let mut got = vec![0.0f32; o * kin];
         total.round_into(&mut got);
