@@ -6,7 +6,9 @@
 # Runs every stage (fmt, lint, test, chaos-smoke, perfbench-check,
 # bench-smoke, doc) even when an earlier one fails, timing each, then
 # prints a summary table and exits non-zero if any stage failed. `--quick` is forwarded to the test
-# stage (skips the release build).
+# stage (skips the release build). The summary also reports the Rust line
+# count (crates, src, tests, examples), the size figure ROADMAP.md tracks;
+# it is a report, not a gate.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -47,6 +49,7 @@ printf "%-14s %-6s %s\n" "stage" "status" "time"
 printf "$results" | while read -r name status dur; do
     [ -n "$name" ] && printf "%-14s %-6s %s\n" "$name" "$status" "$dur"
 done
+printf "%-14s %s\n" "rust lines" "$(find crates src tests examples -name '*.rs' | xargs cat | wc -l | tr -d ' ')"
 echo "======================"
 
 if [ "$failed" -ne 0 ]; then

@@ -31,13 +31,13 @@ if [ "$quick" -eq 0 ]; then
     cargo test -q --release -p posit-tensor --test posit_gemm_exhaustive
     echo "==> cargo test -q --release -p posit-store --test store_exhaustive"
     cargo test -q --release -p posit-store --test store_exhaustive
-    # The exact data-parallel determinism suite re-runs in release on a
-    # forced 4-thread pool: the debug run above already covers the sweep,
-    # but the narrow-quire fast paths and the pooled kernels only run
-    # their release code here (the parent pins POSIT_TENSOR_THREADS per
-    # child, so the outer value just widens the parent's own pool).
-    echo "==> POSIT_TENSOR_THREADS=4 cargo test -q --release -p posit-train --test data_parallel_determinism"
-    POSIT_TENSOR_THREADS=4 cargo test -q --release -p posit-train --test data_parallel_determinism
+    # The thread-invariance suite re-runs in release on a forced 4-thread
+    # pool: the debug run above already covers the sweep, but the
+    # narrow-quire fast paths and the pooled kernels only run their
+    # release code here (the parent pins POSIT_TENSOR_THREADS per child,
+    # so the outer value just widens the parent's own pool).
+    echo "==> POSIT_TENSOR_THREADS=4 cargo test -q --release -p posit-train --test thread_determinism"
+    POSIT_TENSOR_THREADS=4 cargo test -q --release -p posit-train --test thread_determinism
     # Same reasoning for the serving batcher: the debug run covers the
     # semantics, the release run pins batched-vs-single bit-equality on
     # the release quire kernels (children pin their own thread counts).

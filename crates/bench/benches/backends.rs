@@ -105,63 +105,6 @@ fn bench_backends(c: &mut Criterion) {
     }
 }
 
-/// Sharded vs 1-shard optimizer-step time under the exact gradient batch
-/// (`dp-step.<model>/serial` vs `dp-step.<model>/sharded-x4`). Every
-/// shard adds into each parameter's one quire accumulator, so the results
-/// are bit-identical by construction; this row tracks what the split
-/// costs in wall time so `BENCH_bench-smoke.json` carries the
-/// sharded-vs-serial trajectory.
-fn bench_dp_step(c: &mut Criterion) {
-    use posit_nn::{Layer, Sgd, SoftmaxCrossEntropy};
-    use posit_tensor::Tensor;
-    use posit_train::{ComputeBackend, Phase, QuantBuilder, QuantSpec};
-
-    let batch = 32;
-    let loss = SoftmaxCrossEntropy::new();
-    for model in ["lenet", "mlp"] {
-        let mut rng = Prng::seed(7);
-        let spec = QuantSpec::cifar_paper().with_backend(ComputeBackend::PositQuire);
-        let mut qb = QuantBuilder::new(spec);
-        let control = qb.control();
-        let (mut net, x) = match model {
-            "lenet" => (
-                posit_models::lenet(&mut qb, 3, 16, 10, &mut rng),
-                Tensor::rand_normal(&[batch, 3, 16, 16], 0.0, 1.0, &mut rng),
-            ),
-            _ => (
-                posit_models::mlp(&mut qb, &[64, 128, 10], &mut rng),
-                Tensor::rand_normal(&[batch, 64], 0.0, 1.0, &mut rng),
-            ),
-        };
-        control.set_phase(Phase::Posit);
-        let t: Vec<usize> = (0..batch).map(|i| i % 10).collect();
-        let mut opt = Sgd::new(0.05).momentum(0.9);
-        let mut g = c.benchmark_group(format!("dp-step.{model}"));
-        g.sample_size(10);
-        for (label, lanes) in [("serial", 1usize), ("sharded-x4", 4)] {
-            g.bench_function(label, |bch| {
-                bch.iter(|| {
-                    opt.zero_grad(&mut net.params_mut());
-                    net.begin_grad_batch(batch);
-                    let (base, extra) = (batch / lanes, batch % lanes);
-                    let mut start = 0;
-                    for s in 0..lanes {
-                        let rows = base + usize::from(s < extra);
-                        let end = start + rows;
-                        let y = net.forward(&x.slice_rows(start, end), true).into_f32();
-                        let (_, grad) = loss.forward_shard(&y, &t[start..end], batch);
-                        net.backward(&grad);
-                        start = end;
-                    }
-                    net.end_grad_batch();
-                    opt.step(&mut net.params_mut());
-                })
-            });
-        }
-        g.finish();
-    }
-}
-
 /// Operand-plane unpack throughput, one row per decode route:
 ///
 /// * `lut/posit(8,1)` — the SWAR lane-group gather through the 256-entry
@@ -241,6 +184,6 @@ criterion_group! {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1))
         .sample_size(10);
-    targets = bench_backends, bench_dp_step, bench_plane_decode, bench_obs_overhead
+    targets = bench_backends, bench_plane_decode, bench_obs_overhead
 }
 criterion_main!(benches);

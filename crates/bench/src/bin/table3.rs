@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! cargo run --release -p posit-bench --bin table3 -- [cifar|imagenet|all] [--quick] \
-//!     [--backend=<f32|posit-quire>] [--model=<resnet|lenet>] \
-//!     [--data-parallel=<shards>]
+//!     [--backend=<f32|posit-quire>] [--model=<resnet|lenet>]
 //! ```
 //!
 //! `--backend` selects the GEMM kernel family for the posit runs: `f32`
@@ -15,19 +14,14 @@
 //! kernels with exact quire accumulation — several times slower, pair
 //! with `--quick`).
 //!
-//! `--data-parallel` is the one shard knob: it splits each posit-phase
-//! step into that many row shards, run one after another, whose gradients
-//! add into each parameter's one quire accumulator (bit-identical to one
-//! shard — see "Deterministic data parallelism" in README.md). It
-//! requires `--backend=posit-quire` plus the batch-separable
-//! `--model=lenet`: the ResNet's batch normalization couples rows through
-//! batch statistics, so the trainer refuses to shard it.
+//! `--model` selects the network: the paper's scaled ResNet-18
+//! (`resnet`, default) or the BN-free `lenet`.
 //!
-//! An unknown flag or experiment name is an error that lists the valid
-//! ones.
+//! An unknown flag, experiment name, backend or model is an error that
+//! lists the valid ones and exits with status 2.
 
 use posit_bench::{
-    args_or_exit, backend_from_args, dp_from_args, paper, print_table3_row, run_logged_trainer,
+    args_or_exit, backend_from_args, or_exit, paper, print_table3_row, run_logged_trainer,
     CifarExperiment, ImageNetExperiment, Scale, TableModel,
 };
 use posit_train::QuantSpec;
@@ -36,14 +30,13 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args_or_exit(
         &args,
-        &["--quick", "--backend=", "--model=", "--data-parallel="],
+        &["--quick", "--backend=", "--model="],
         &["cifar", "imagenet", "all"],
     )
     .unwrap_or("all");
     let scale = Scale::from_args(&args);
-    let backend = backend_from_args(&args);
-    let model = TableModel::from_args(&args);
-    let shards = dp_from_args(&args);
+    let backend = or_exit(backend_from_args(&args));
+    let model = or_exit(TableModel::from_args(&args));
 
     println!("TABLE III: TRAINING CONFIGURATIONS AND VALIDATE ACCURACIES RESULTS");
     println!(
@@ -67,8 +60,7 @@ fn main() {
         );
         let posit_cfg = base_cfg
             .clone()
-            .with_quant(QuantSpec::cifar_paper().with_backend(backend))
-            .with_data_parallel(shards);
+            .with_quant(QuantSpec::cifar_paper().with_backend(backend));
         let posit = run_logged_trainer(
             &format!(
                 "CIFAR stand-in, posit (8,1)/(8,2) CONV + (16,1)/(16,2) BN, warm-up 1, {} kernels",
@@ -99,8 +91,7 @@ fn main() {
         );
         let posit_cfg = base_cfg
             .clone()
-            .with_quant(QuantSpec::imagenet_paper().with_backend(backend))
-            .with_data_parallel(shards);
+            .with_quant(QuantSpec::imagenet_paper().with_backend(backend));
         let posit = run_logged_trainer(
             &format!(
                 "ImageNet stand-in, posit (16,1) fwd/update + (16,2) bwd, warm-up 5, {} kernels",

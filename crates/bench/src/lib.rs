@@ -41,40 +41,16 @@ impl Scale {
 /// Parse a `--backend=<f32|posit-quire>` flag (default
 /// `f32`) — the trainer-level A/B switch over GEMM kernel families.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unknown backend name, listing the valid ones.
-pub fn backend_from_args(args: &[String]) -> ComputeBackend {
-    args.iter()
-        .find_map(|a| a.strip_prefix("--backend="))
-        .map(|v| {
-            ComputeBackend::parse(v)
-                .unwrap_or_else(|| panic!("unknown backend '{v}' (expected f32|posit-quire)"))
-        })
-        .unwrap_or_default()
-}
-
-/// Parse the `--data-parallel=<shards>` flag (default 1) — the one shard
-/// knob, `TrainConfig::data_parallel`.
-///
-/// Values above 1 require `--backend=posit-quire` (the exactness guarantee
-/// rests on quire accumulation; `TrainConfig::validate` rejects the rest)
-/// and a batch-separable model (`--model=lenet` — batch normalization
-/// couples rows through batch statistics, so the ResNet cannot shard).
-///
-/// # Panics
-///
-/// Panics if the value is present but not a positive integer.
-pub fn dp_from_args(args: &[String]) -> usize {
-    args.iter()
-        .find_map(|a| a.strip_prefix("--data-parallel="))
-        .map(|v| {
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| panic!("--data-parallel= wants a positive integer, got '{v}'"))
-        })
-        .unwrap_or(1)
+/// Returns the message to print for an unknown backend name, listing the
+/// valid ones.
+pub fn backend_from_args(args: &[String]) -> Result<ComputeBackend, String> {
+    match args.iter().find_map(|a| a.strip_prefix("--backend=")) {
+        None => Ok(ComputeBackend::default()),
+        Some(v) => ComputeBackend::parse(v)
+            .ok_or_else(|| format!("unknown backend '{v}' (valid: f32, posit-quire)")),
+    }
 }
 
 /// Check a binary's arguments against what it accepts, and return the
@@ -117,13 +93,19 @@ pub fn check_args<'a>(
     Ok(name)
 }
 
-/// [`check_args`] for a binary's `main`: print the error and exit with
-/// status 2 on a bad command line.
-pub fn args_or_exit<'a>(args: &'a [String], flags: &[&str], names: &[&str]) -> Option<&'a str> {
-    check_args(args, flags, names).unwrap_or_else(|e| {
+/// For a binary's `main`: unwrap a command-line check, or print its
+/// error and exit with status 2.
+pub fn or_exit<T>(checked: Result<T, String>) -> T {
+    checked.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     })
+}
+
+/// [`check_args`] for a binary's `main`: print the error and exit with
+/// status 2 on a bad command line.
+pub fn args_or_exit<'a>(args: &'a [String], flags: &[&str], names: &[&str]) -> Option<&'a str> {
+    or_exit(check_args(args, flags, names))
 }
 
 /// Model family for the training-table binaries.
@@ -131,26 +113,23 @@ pub fn args_or_exit<'a>(args: &'a [String], flags: &[&str], names: &[&str]) -> O
 pub enum TableModel {
     /// The paper's scaled ResNet-18 (default; contains batch norm).
     Resnet,
-    /// BN-free LeNet — the batch-separable model that composes with
-    /// `--data-parallel` (needs image side >= 16).
+    /// BN-free LeNet (needs image side >= 16).
     Lenet,
 }
 
 impl TableModel {
     /// Parse a `--model=<resnet|lenet>` flag (default `resnet`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on an unknown model name.
-    pub fn from_args(args: &[String]) -> TableModel {
-        args.iter()
-            .find_map(|a| a.strip_prefix("--model="))
-            .map(|v| match v {
-                "resnet" => TableModel::Resnet,
-                "lenet" => TableModel::Lenet,
-                _ => panic!("unknown model '{v}' (expected resnet|lenet)"),
-            })
-            .unwrap_or(TableModel::Resnet)
+    /// Returns the message to print for an unknown model name, listing
+    /// the valid ones.
+    pub fn from_args(args: &[String]) -> Result<TableModel, String> {
+        match args.iter().find_map(|a| a.strip_prefix("--model=")) {
+            None | Some("resnet") => Ok(TableModel::Resnet),
+            Some("lenet") => Ok(TableModel::Lenet),
+            Some(v) => Err(format!("unknown model '{v}' (valid: resnet, lenet)")),
+        }
     }
 
     /// Display name in the Table III layout.
@@ -374,5 +353,31 @@ mod tests {
         assert!(err.contains("two experiment names"), "{err}");
         let err = check_args(&args(&["cifar"]), &FLAGS, &[]).unwrap_err();
         assert!(err.contains("takes no experiment name"), "{err}");
+    }
+
+    #[test]
+    fn backend_flag_parses_or_lists_the_valid_backends() {
+        assert_eq!(backend_from_args(&[]), Ok(ComputeBackend::F32));
+        assert_eq!(
+            backend_from_args(&args(&["--backend=posit-quire"])),
+            Ok(ComputeBackend::PositQuire)
+        );
+        let err = backend_from_args(&args(&["--backend=bogus"])).unwrap_err();
+        assert_eq!(err, "unknown backend 'bogus' (valid: f32, posit-quire)");
+    }
+
+    #[test]
+    fn model_flag_parses_or_lists_the_valid_models() {
+        assert_eq!(TableModel::from_args(&[]), Ok(TableModel::Resnet));
+        assert_eq!(
+            TableModel::from_args(&args(&["--model=resnet"])),
+            Ok(TableModel::Resnet)
+        );
+        assert_eq!(
+            TableModel::from_args(&args(&["--model=lenet"])),
+            Ok(TableModel::Lenet)
+        );
+        let err = TableModel::from_args(&args(&["--model=vgg"])).unwrap_err();
+        assert_eq!(err, "unknown model 'vgg' (valid: resnet, lenet)");
     }
 }

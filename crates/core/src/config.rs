@@ -276,20 +276,6 @@ pub struct TrainConfig {
     pub hist_params: Vec<String>,
     /// Epochs (0-based) at which histograms are captured.
     pub hist_epochs: Vec<usize>,
-    /// Static loss scale `S` (Micikevicius et al. \[9\], the alternative the
-    /// paper's layer-wise Eq. 2–3 shifting replaces): the loss gradient is
-    /// multiplied by `S` before backward and weight gradients divided by
-    /// `S` before the update. `1.0` disables it (the paper's setting).
-    pub loss_scale: f32,
-    /// Shards per posit-phase step: the one shard knob. Each mini-batch
-    /// is split into this many contiguous row shards that run one after
-    /// another, every shard adding its gradients into the one exact quire
-    /// accumulator each parameter owns for the step, so the result is
-    /// bit-identical to the 1-shard run for *any* shard count. Warm-up
-    /// and calibration epochs always run whole batches. `1` (default)
-    /// disables sharding; values above 1 require the posit-quire backend
-    /// (see [`TrainConfig::validate`]).
-    pub data_parallel: usize,
 }
 
 /// A structurally invalid [`TrainConfig`], caught by
@@ -308,15 +294,6 @@ pub enum ConfigError {
         warmup_epochs: usize,
         /// Configured total epochs.
         epochs: usize,
-    },
-    /// `data_parallel == 0`: a step needs at least one shard.
-    ZeroShards,
-    /// More than one shard was requested in a setup
-    /// that cannot reduce gradients exactly, so the bit-for-bit guarantee
-    /// the feature exists for would silently not hold.
-    DataParallelUnsupported {
-        /// What the setup is missing.
-        reason: &'static str,
     },
 }
 
@@ -337,12 +314,6 @@ impl fmt::Display for ConfigError {
                 "quantization is configured but the posit phase is empty: \
                  warmup_epochs ({warmup_epochs}) >= epochs ({epochs})"
             ),
-            ConfigError::ZeroShards => {
-                write!(f, "data_parallel must be positive (got 0)")
-            }
-            ConfigError::DataParallelUnsupported { reason } => {
-                write!(f, "exact data parallelism unsupported: {reason}")
-            }
         }
     }
 }
@@ -372,34 +343,6 @@ impl TrainConfig {
                 epochs: self.epochs,
             });
         }
-        if self.data_parallel == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        if self.data_parallel > 1 {
-            // The bit-for-bit guarantee rests on exact quire reduction, so
-            // sharding is only offered where it can actually hold.
-            let quant = self
-                .quant
-                .as_ref()
-                .ok_or(ConfigError::DataParallelUnsupported {
-                    reason: "requires a quantized run on the posit-quire backend",
-                })?;
-            if quant.backend != ComputeBackend::PositQuire {
-                return Err(ConfigError::DataParallelUnsupported {
-                    reason: "requires the posit-quire backend (f32 sums are order-dependent)",
-                });
-            }
-            if quant.rounding == Rounding::Stochastic {
-                return Err(ConfigError::DataParallelUnsupported {
-                    reason: "stochastic rounding consumes a serial random stream per edge",
-                });
-            }
-            if self.warmup_epochs == 0 {
-                return Err(ConfigError::DataParallelUnsupported {
-                    reason: "needs >= 1 warm-up epoch so scales calibrate on unsharded batches",
-                });
-            }
-        }
         Ok(())
     }
 
@@ -420,8 +363,6 @@ impl TrainConfig {
             num_classes: 10,
             hist_params: vec!["conv1.weight".into(), "layer4.0.bn1.weight".into()],
             hist_epochs: vec![],
-            loss_scale: 1.0,
-            data_parallel: 1,
         }
     }
 
@@ -455,24 +396,6 @@ impl TrainConfig {
     /// Capture histograms for Fig. 2 at the given epochs.
     pub fn with_histograms(mut self, epochs: Vec<usize>) -> TrainConfig {
         self.hist_epochs = epochs;
-        self
-    }
-
-    /// Enable static loss scaling (comparison against Eq. 2–3 shifting).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `scale` is finite and positive.
-    pub fn with_loss_scale(mut self, scale: f32) -> TrainConfig {
-        assert!(scale.is_finite() && scale > 0.0, "invalid loss scale");
-        self.loss_scale = scale;
-        self
-    }
-
-    /// Split each posit-phase step into `shards` row shards accumulated
-    /// exactly in quires (bit-identical to the 1-shard run).
-    pub fn with_data_parallel(mut self, shards: usize) -> TrainConfig {
-        self.data_parallel = shards;
         self
     }
 }
@@ -589,46 +512,6 @@ mod tests {
             .with_quant(QuantSpec::cifar_paper())
             .with_warmup(0);
         assert!(a1.validate().is_ok());
-    }
-
-    #[test]
-    fn validate_gates_data_parallelism() {
-        let quire = QuantSpec::cifar_paper().with_backend(ComputeBackend::PositQuire);
-        let ok = TrainConfig::cifar_scaled(4, 3)
-            .with_quant(quire.clone())
-            .with_data_parallel(8);
-        assert!(ok.validate().is_ok());
-        // One shard is always fine — it is the unsharded step.
-        assert!(TrainConfig::cifar_scaled(4, 3).validate().is_ok());
-        let mut zs = ok.clone();
-        zs.data_parallel = 0;
-        assert_eq!(zs.validate(), Err(ConfigError::ZeroShards));
-        // Sharding without the exact-reduction substrate is refused.
-        let fp32 = TrainConfig::cifar_scaled(4, 3).with_data_parallel(2);
-        assert!(matches!(
-            fp32.validate(),
-            Err(ConfigError::DataParallelUnsupported { .. })
-        ));
-        let f32_kernels = TrainConfig::cifar_scaled(4, 3)
-            .with_quant(QuantSpec::cifar_paper().with_backend(ComputeBackend::F32))
-            .with_data_parallel(2);
-        assert!(matches!(
-            f32_kernels.validate(),
-            Err(ConfigError::DataParallelUnsupported { .. })
-        ));
-        let sr = TrainConfig::cifar_scaled(4, 3)
-            .with_quant(quire.clone().with_rounding(Rounding::Stochastic))
-            .with_data_parallel(2);
-        assert!(matches!(
-            sr.validate(),
-            Err(ConfigError::DataParallelUnsupported { .. })
-        ));
-        let no_warmup = TrainConfig::cifar_scaled(4, 3)
-            .with_quant(quire)
-            .with_warmup(0)
-            .with_data_parallel(2);
-        let err = no_warmup.validate().unwrap_err();
-        assert!(err.to_string().contains("warm-up"), "{err}");
     }
 
     #[test]

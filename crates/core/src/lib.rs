@@ -48,4 +48,4 @@ pub use config::{
     ClassFormats, ComputeBackend, ConfigError, MasterWeights, QuantSpec, TensorClass, TrainConfig,
 };
 pub use quantized::{Phase, QuantBuilder, QuantControl, Quantized};
-pub use trainer::{EpochStats, InputQuantizer, RunOptions, TrainReport, Trainer};
+pub use trainer::{EpochStats, InputQuantizer, RunError, RunOptions, TrainReport, Trainer};

@@ -351,9 +351,9 @@ impl Layer for Quantized {
             Phase::Posit => {
                 // The calibrate epoch's statistics freeze at the phase
                 // boundary. (Folding the first posit batch into the mean
-                // lazily would make the frozen exponent depend on how that
-                // batch was sharded — the lazy path below stays only for
-                // runs that skipped calibration entirely.)
+                // lazily would make the frozen exponent depend on that
+                // batch — the lazy path below stays only for runs that
+                // skipped calibration entirely.)
                 self.w_scale.freeze(self.sigma);
                 self.a_scale.freeze(self.sigma);
                 // Fig. 3c tail: W_p = P(W). With an FP32 master, the posit
@@ -403,7 +403,7 @@ impl Layer for Quantized {
             }
             Phase::Posit => {
                 // As in forward: calibrated error/gradient scales freeze
-                // before first use, independent of batch sharding.
+                // before first use.
                 self.e_scale.freeze(self.sigma);
                 self.g_scale.freeze(self.sigma);
                 let mut g = self.inner.backward(grad_out);
@@ -446,10 +446,6 @@ impl Layer for Quantized {
 
     fn params(&self) -> Vec<&Param> {
         self.inner.params()
-    }
-
-    fn batch_separable(&self) -> bool {
-        self.inner.batch_separable()
     }
 
     fn begin_grad_batch(&mut self, total_samples: usize) {

@@ -1,7 +1,7 @@
 //! The training harness: warm-up → calibration → posit phases, per
 //! §III-B/III-C of the paper.
 
-use crate::config::{QuantSpec, TrainConfig};
+use crate::config::{ConfigError, QuantSpec, TrainConfig};
 use crate::quantized::{Phase, QuantBuilder, QuantControl};
 use crate::scale;
 use crate::stats::HistogramRecorder;
@@ -11,7 +11,8 @@ use posit_nn::{checkpoint, metrics, Layer, Sequential, Sgd, SoftmaxCrossEntropy}
 use posit_store::{read_tensor, write_tensor, Store, StoreError};
 use posit_tensor::rng::{Prng, PrngState};
 use posit_tensor::Tensor;
-use std::borrow::Cow;
+use std::error::Error;
+use std::fmt;
 
 /// Per-epoch record.
 #[derive(Debug, Clone)]
@@ -42,6 +43,45 @@ pub struct TrainReport {
     pub best_test_acc: f64,
     /// Fig. 2 histogram snapshots (if requested).
     pub histograms: HistogramRecorder,
+}
+
+/// Why [`Trainer::run`] failed.
+#[derive(Debug)]
+pub enum RunError {
+    /// The config failed [`TrainConfig::validate`]; no step ran.
+    Config(ConfigError),
+    /// The checkpoint store failed (I/O, corrupt checkpoint).
+    Store(StoreError),
+}
+
+impl From<ConfigError> for RunError {
+    fn from(e: ConfigError) -> RunError {
+        RunError::Config(e)
+    }
+}
+
+impl From<StoreError> for RunError {
+    fn from(e: StoreError) -> RunError {
+        RunError::Store(e)
+    }
+}
+
+impl fmt::Display for RunError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RunError::Config(e) => write!(f, "invalid TrainConfig: {e}"),
+            RunError::Store(e) => write!(f, "checkpoint store: {e}"),
+        }
+    }
+}
+
+impl Error for RunError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            RunError::Config(e) => Some(e),
+            RunError::Store(e) => Some(e),
+        }
+    }
 }
 
 /// The `A^0` input-edge quantizer of Fig. 3, shared by the trainer's
@@ -183,8 +223,7 @@ impl Trainer {
 
     /// Build the config's LeNet on `in_channels × side × side` inputs
     /// (`side >= 16`), wrapped with the quantization policy if one is
-    /// configured. Unlike the ResNet it has no batch normalization, so it
-    /// is batch-separable and composes with `TrainConfig::data_parallel`.
+    /// configured. Unlike the ResNet it has no batch normalization.
     pub fn lenet(config: &TrainConfig, in_channels: usize, side: usize) -> Trainer {
         let mut rng = Prng::seed(config.seed);
         match &config.quant {
@@ -261,76 +300,29 @@ impl Trainer {
         self.input_q.apply(x, spec, control.phase());
     }
 
-    /// One optimizer step: one exact gradient batch. The batch is split
-    /// into `shards` contiguous near-equal row shards that run one after
-    /// another; each shard's forward/backward adds its weight and bias
-    /// gradients into the one accumulator each parameter owns for the
-    /// batch, and `end_grad_batch` rounds each exact sum once into the
-    /// parameter gradients. On the quire backend that sum is integer
-    /// addition, so how the batch is split cannot change a bit: any shard
-    /// count reproduces the 1-shard step bit-for-bit:
-    ///
-    /// - weight/bias gradients: exact quire sums, rounded once;
-    /// - loss: per-sample `-ln p` folded in global sample order;
-    /// - accuracy: integer hit counts summed across shards;
-    /// - activations/dX and the quantization edges: per-row operations
-    ///   under deterministic rounding (the config gate rejects stochastic
-    ///   rounding), hence shard-invariant;
-    /// - input quantization and Eq. 2 scale calibration both see only
-    ///   whole batches (shards are sliced *after* `quantize_input`, and
-    ///   the gate requires a warm-up epoch so scales freeze unsharded).
+    /// One optimizer step: one exact gradient batch. The forward and
+    /// backward passes add each weight and bias gradient into the one
+    /// accumulator every parameter owns for the batch, and
+    /// `end_grad_batch` rounds each exact sum once into the parameter
+    /// gradients before the update.
     ///
     /// Returns `(mean loss, top-1 accuracy)` for the batch.
     fn step(
         &mut self,
         x: &Tensor,
         t: &[usize],
-        shards: usize,
-        config: &TrainConfig,
         loss_fn: &SoftmaxCrossEntropy,
         opt: &mut Sgd,
     ) -> (f64, f64) {
-        let n = t.len();
-        let base = n / shards;
-        let extra = n % shards;
         opt.zero_grad(&mut self.net.params_mut());
-        self.net.begin_grad_batch(n);
-        let mut loss_sum = 0.0f64;
-        let mut correct = 0usize;
-        let mut start = 0usize;
-        for s in 0..shards {
-            let rows = base + usize::from(s < extra);
-            if rows == 0 {
-                continue; // batch smaller than the shard count
-            }
-            let end = start + rows;
-            let xs = if rows == n {
-                Cow::Borrowed(x)
-            } else {
-                Cow::Owned(x.slice_rows(start, end))
-            };
-            let ts = &t[start..end];
-            let y = self.net.forward(&xs, true).into_f32();
-            let (vals, mut g) = loss_fn.forward_shard(&y, ts, n);
-            for v in vals {
-                loss_sum += v;
-            }
-            correct += metrics::top1_correct(&y, ts);
-            if config.loss_scale != 1.0 {
-                g.scale(config.loss_scale);
-            }
-            self.net.backward(&g);
-            start = end;
-        }
+        self.net.begin_grad_batch(t.len());
+        let y = self.net.forward(x, true).into_f32();
+        let (loss, g) = loss_fn.forward(&y, t);
+        let acc = metrics::top1_accuracy(&y, t);
+        self.net.backward(&g);
         self.net.end_grad_batch();
-        if config.loss_scale != 1.0 {
-            let inv = 1.0 / config.loss_scale;
-            for p in self.net.params_mut() {
-                p.grad.scale(inv);
-            }
-        }
         opt.step(&mut self.net.params_mut());
-        (loss_sum / n as f64, correct as f64 / n as f64)
+        (loss, acc)
     }
 
     /// Eval-mode inference on one batch: quantize the `A^0` input edge
@@ -377,16 +369,11 @@ impl Trainer {
     ///
     /// # Errors
     ///
-    /// Propagates store failures (I/O, corrupt checkpoint); a run without
-    /// a store cannot fail.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with the [`crate::config::ConfigError`] message) if the
-    /// config fails [`TrainConfig::validate`] — a zero batch size or an
-    /// empty training/posit phase is a configuration bug, caught here
-    /// before it can panic deep inside the loader.
-    pub fn run(&mut self, opts: RunOptions<'_>) -> Result<TrainReport, StoreError> {
+    /// [`RunError::Config`] if the config fails [`TrainConfig::validate`]
+    /// (a zero batch size or an empty training/posit phase), before any
+    /// step runs; [`RunError::Store`] for store failures (I/O, corrupt
+    /// checkpoint). A valid run without a store cannot fail.
+    pub fn run(&mut self, opts: RunOptions<'_>) -> Result<TrainReport, RunError> {
         let RunOptions {
             train,
             test,
@@ -410,16 +397,8 @@ impl Trainer {
         config: &TrainConfig,
         store: Option<&dyn Store>,
         on_epoch: &mut dyn FnMut(&EpochStats),
-    ) -> Result<TrainReport, StoreError> {
-        if let Err(e) = config.validate() {
-            panic!("invalid TrainConfig: {e}");
-        }
-        if config.data_parallel > 1 && !self.net.batch_separable() {
-            panic!(
-                "invalid TrainConfig: exact data parallelism requires batch-separable \
-                 layers (batch normalization couples rows through batch statistics)"
-            );
-        }
+    ) -> Result<TrainReport, RunError> {
+        config.validate()?;
         let loss_fn = SoftmaxCrossEntropy::new();
         let mut opt = Sgd::new(config.schedule.lr_at(0))
             .momentum(config.momentum)
@@ -449,18 +428,10 @@ impl Trainer {
             opt.set_lr(lr);
             let mut loss_meter = metrics::Meter::new();
             let mut acc_meter = metrics::Meter::new();
-            // Warm-up and calibration run whole batches: their f32 sums
-            // and Eq. 2 statistics depend on the split (the config gate
-            // only admits more shards on the quire backend).
-            let shards = if phase == Phase::Posit {
-                config.data_parallel
-            } else {
-                1
-            };
             for (mut x, t) in loader.epoch() {
                 let _step = step_hist.as_ref().map(posit_obs::Span::start);
                 self.quantize_input(&mut x, config);
-                let (l, acc) = self.step(&x, &t, shards, config, &loss_fn, &mut opt);
+                let (l, acc) = self.step(&x, &t, &loss_fn, &mut opt);
                 loss_meter.update(l, t.len() as f64);
                 acc_meter.update(acc, t.len() as f64);
             }
@@ -1025,6 +996,24 @@ mod tests {
     }
 
     #[test]
+    fn run_returns_a_typed_config_error() {
+        let (train, test) = tiny_data();
+        let mut cfg = TrainConfig::cifar_scaled(4, 2);
+        cfg.batch_size = 0;
+        let err = Trainer::resnet(&cfg)
+            .run(RunOptions::new(&train, &test, &cfg).on_epoch(|_| panic!("no epoch may run")))
+            .unwrap_err();
+        assert!(
+            matches!(err, RunError::Config(ConfigError::ZeroBatchSize)),
+            "{err:?}"
+        );
+        let source = err.source().expect("a config error has a source");
+        assert_eq!(source.to_string(), ConfigError::ZeroBatchSize.to_string());
+    }
+
+    // The two checks below surface the error the way a CLI does, through
+    // its `Display`, which must carry the config field at fault.
+    #[test]
     #[should_panic(expected = "batch_size must be positive")]
     fn run_rejects_zero_batch_size_up_front() {
         let (train, test) = tiny_data();
@@ -1032,7 +1021,7 @@ mod tests {
         cfg.batch_size = 0;
         Trainer::resnet(&cfg)
             .run(RunOptions::new(&train, &test, &cfg))
-            .unwrap();
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -1044,7 +1033,7 @@ mod tests {
             .with_warmup(2);
         Trainer::resnet(&cfg)
             .run(RunOptions::new(&train, &test, &cfg))
-            .unwrap();
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -1156,107 +1145,6 @@ mod tests {
         }
     }
 
-    /// A quantized LeNet trainer (no batch norm, so every shard count is
-    /// admissible) for the data-parallel tests.
-    fn lenet_trainer(cfg: &TrainConfig) -> Trainer {
-        let mut rng = posit_tensor::rng::Prng::seed(cfg.seed);
-        let mut qb = QuantBuilder::new(cfg.quant.clone().expect("quantized config"));
-        let control = qb.control();
-        let net = posit_models::lenet(&mut qb, 3, 16, cfg.num_classes, &mut rng);
-        Trainer::from_net(net, Some(control))
-    }
-
-    #[test]
-    fn killed_and_resumed_data_parallel_run_matches_uninterrupted_serial_bit_exactly() {
-        use crate::config::{ComputeBackend, MasterWeights};
-        use posit_store::MemoryStore;
-        // The acceptance bar for exact sharded steps: a run killed after
-        // epoch 2 of 3 while training on FOUR shards, then resumed on
-        // THREE (a split that does not divide the batch), reproduces the
-        // uninterrupted 1-shard run bit-exactly. The checkpoint stores no
-        // shard geometry, so this also pins that checkpoint bytes are
-        // shard-count-independent.
-        let gen = SyntheticCifar::new(16, 11);
-        let (train, test) = (gen.train(64, 1), gen.test(32, 1));
-        let cfg = TrainConfig::cifar_scaled(4, 3).with_seed(3).with_quant(
-            QuantSpec::cifar_paper()
-                .with_backend(ComputeBackend::PositQuire)
-                .with_master(MasterWeights::Posit),
-        );
-
-        let mut serial = lenet_trainer(&cfg);
-        let want = serial.run(RunOptions::new(&train, &test, &cfg)).unwrap();
-
-        let store = MemoryStore::new();
-        let mut prefix_cfg = cfg.clone().with_data_parallel(4);
-        prefix_cfg.epochs = 2;
-        let partial = lenet_trainer(&prefix_cfg)
-            .run(RunOptions::new(&train, &test, &prefix_cfg).resumable(&store))
-            .unwrap();
-        assert_eq!(partial.epochs.len(), 2);
-
-        let resume_cfg = cfg.clone().with_data_parallel(3);
-        let mut resumed_trainer = lenet_trainer(&resume_cfg);
-        let resumed = resumed_trainer
-            .run(RunOptions::new(&train, &test, &resume_cfg).resumable(&store))
-            .unwrap();
-
-        assert_eq!(resumed.epochs.len(), want.epochs.len());
-        for (a, b) in want.epochs.iter().zip(&resumed.epochs) {
-            assert_eq!(a.epoch, b.epoch);
-            assert_eq!(a.phase, b.phase);
-            assert_eq!(
-                a.train_loss.to_bits(),
-                b.train_loss.to_bits(),
-                "epoch {} train loss drifted across shard counts",
-                a.epoch
-            );
-            assert_eq!(a.train_acc.to_bits(), b.train_acc.to_bits());
-            assert_eq!(a.test_acc.to_bits(), b.test_acc.to_bits());
-        }
-        for (pa, pb) in serial
-            .net()
-            .params()
-            .iter()
-            .zip(resumed_trainer.net().params())
-        {
-            assert_eq!(pa.name, pb.name);
-            match (pa.value.posit_bits(), pb.value.posit_bits()) {
-                (Some(a), Some(b)) => assert_eq!(a, b, "{} packed plane drifted", pa.name),
-                (None, None) => assert_eq!(
-                    pa.value.data(),
-                    pb.value.data(),
-                    "{} f32 master drifted",
-                    pa.name
-                ),
-                _ => panic!("{}: storage domains disagree", pa.name),
-            }
-        }
-    }
-
-    #[test]
-    fn data_parallel_rejects_batch_norm_nets() {
-        use crate::config::ComputeBackend;
-        let (train, test) = tiny_data();
-        let cfg = TrainConfig::cifar_scaled(4, 2)
-            .with_quant(QuantSpec::cifar_paper().with_backend(ComputeBackend::PositQuire))
-            .with_data_parallel(2);
-        // The scaled ResNet has batch norm: shard statistics would diverge
-        // from the serial run, so the trainer must refuse up front.
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Trainer::resnet(&cfg)
-                .run(RunOptions::new(&train, &test, &cfg))
-                .unwrap()
-        }))
-        .unwrap_err();
-        let msg = err
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| err.downcast_ref::<&str>().copied())
-            .unwrap_or_default();
-        assert!(msg.contains("batch-separable"), "unexpected panic: {msg}");
-    }
-
     #[test]
     fn checkpointing_does_not_perturb_the_run() {
         use posit_store::MemoryStore;
@@ -1302,28 +1190,6 @@ mod tests {
             .run(RunOptions::new(&train, &test, &cfg).resumable(&store))
             .unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
-    }
-
-    #[test]
-    fn loss_scaling_is_neutral_in_fp32() {
-        // With FP32 compute, multiplying the loss gradient by S and the
-        // weight gradients by 1/S is an exact no-op up to f32 rounding:
-        // final accuracy must match the unscaled run closely.
-        let (train, test) = tiny_data();
-        let base = TrainConfig::cifar_scaled(4, 3).with_seed(9);
-        let scaled = base.clone().with_loss_scale(1024.0);
-        let r1 = Trainer::resnet(&base)
-            .run(RunOptions::new(&train, &test, &base))
-            .unwrap();
-        let r2 = Trainer::resnet(&scaled)
-            .run(RunOptions::new(&train, &test, &scaled))
-            .unwrap();
-        assert!(
-            (r1.final_test_acc - r2.final_test_acc).abs() < 0.08,
-            "{} vs {}",
-            r1.final_test_acc,
-            r2.final_test_acc
-        );
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! Every case pins the same invariant, the strongest one the paper's
 //! determinism story affords: under ANY injected fault the run either
 //! completes bit-identically to the fault-free baseline, or fails with a
-//! typed [`StoreError`] — never a panic, never silent divergence — and a
-//! fresh trainer pointed at the surviving store reproduces the baseline
-//! bit-exactly (resuming from the newest fully-committed epoch, or
-//! retraining from scratch when the only checkpoint is the damaged one).
+//! typed [`StoreError`] (as [`RunError::Store`]) — never a panic, never
+//! silent divergence — and a fresh trainer pointed at the surviving
+//! store reproduces the baseline bit-exactly (resuming from the newest
+//! fully-committed epoch, or retraining from scratch when the only
+//! checkpoint is the damaged one).
 //!
 //! Faults come from `posit-fault`: scripted single-write faults aimed at
 //! every region of the checkpoint write sequence, and seeded random
@@ -22,8 +23,8 @@ use posit_nn::Layer;
 use posit_store::{MemoryStore, RetryPolicy, RetryStore, Store, StoreError};
 use posit_tensor::rng::Prng;
 use posit_train::{
-    ComputeBackend, MasterWeights, QuantBuilder, QuantSpec, RunOptions, TrainConfig, TrainReport,
-    Trainer,
+    ComputeBackend, MasterWeights, QuantBuilder, QuantSpec, RunError, RunOptions, TrainConfig,
+    TrainReport, Trainer,
 };
 
 const SIDE: usize = 16;
@@ -51,7 +52,7 @@ fn trainer(cfg: &TrainConfig) -> Trainer {
 }
 
 /// One full training run, checkpointing into `store`.
-fn run_on(store: &dyn Store) -> (Result<TrainReport, StoreError>, Trainer) {
+fn run_on(store: &dyn Store) -> (Result<TrainReport, RunError>, Trainer) {
     let (train, test) = data();
     let cfg = config();
     let mut t = trainer(&cfg);
@@ -161,7 +162,7 @@ fn recover_and_check(clean: &MemoryStore, label: &str) {
             fixture().baseline,
             "{label}: recovered run drifted"
         ),
-        Err(StoreError::Corrupt(_) | StoreError::MissingKey(_)) => {
+        Err(RunError::Store(StoreError::Corrupt(_) | StoreError::MissingKey(_))) => {
             for key in clean.list().expect("list clean store") {
                 clean.delete(&key).expect("wipe clean store");
             }
@@ -189,7 +190,8 @@ fn chaos_case(store: &FaultStore<MemoryStore>, label: &str) {
         ),
         // Any `StoreError` is a typed, loud failure — the matrix forbids
         // panics and silent corruption, not refusals.
-        Err(_) => recover_and_check(store.inner(), label),
+        Err(RunError::Store(_)) => recover_and_check(store.inner(), label),
+        Err(e) => panic!("{label}: the fixed config was rejected: {e}"),
     }
 }
 
@@ -252,7 +254,7 @@ fn torn_checkpoint_writes_fail_loudly_and_recovery_is_bit_exact() {
         let (first, _t) = run_on(&store);
         let label = format!("torn write @{k}");
         match first {
-            Err(StoreError::Io(_)) => {}
+            Err(RunError::Store(StoreError::Io(_))) => {}
             other => panic!("{label}: expected a loud Io failure, got {other:?}"),
         }
         recover_and_check(store.inner(), &label);
@@ -275,7 +277,7 @@ fn silent_corruption_is_caught_before_old_checkpoints_are_reclaimed() {
         let (first, _t) = run_on(&store);
         let label = format!("{what} @{k}");
         match first {
-            Err(StoreError::Corrupt(_) | StoreError::MissingKey(_)) => {}
+            Err(RunError::Store(StoreError::Corrupt(_) | StoreError::MissingKey(_))) => {}
             other => panic!("{label}: corruption was not caught at verify, got {other:?}"),
         }
         recover_and_check(store.inner(), &label);
@@ -293,7 +295,7 @@ fn enospc_surfaces_full_and_recovery_is_bit_exact() {
         let (first, _t) = run_on(&store);
         let label = format!("enospc @{k}");
         match first {
-            Err(StoreError::Full(_)) => {}
+            Err(RunError::Store(StoreError::Full(_))) => {}
             other => panic!("{label}: expected StoreError::Full, got {other:?}"),
         }
         recover_and_check(store.inner(), &label);
@@ -316,7 +318,7 @@ fn disarming_a_poisoned_store_heals_in_place() {
             // run must already be the baseline.
             assert_eq!(fingerprint(&r, &t), fixture().baseline, "permanent/miss");
         }
-        Err(StoreError::Io(_)) => {
+        Err(RunError::Store(StoreError::Io(_))) => {
             drop(t);
             store.disarm().expect("disarm");
             let (second, t) = run_on(&store);

@@ -5,8 +5,8 @@
 //! observation-only — counters and histograms read values the kernels
 //! already produced, and nothing recorded feeds back into a rounding
 //! decision or an RNG stream. This suite pins that claim on the same
-//! LeNet data-parallel configuration the `data_parallel_determinism`
-//! sweep uses: one run with recording off, one with recording on, same
+//! LeNet configuration the `thread_determinism` sweep uses: one run
+//! with recording off, one with recording on, same
 //! process (so the worker-pool width latched in the tensor crate's
 //! `OnceLock` is identical), and the full fingerprint — per-epoch
 //! loss/accuracy bits plus a key-by-key digest of the checkpoint store —
@@ -42,10 +42,9 @@ fn config() -> TrainConfig {
     TrainConfig::cifar_scaled(4, 2)
         .with_seed(3)
         .with_quant(quant())
-        .with_data_parallel(2)
 }
 
-/// FNV-1a over the value bytes (same rationale as the data-parallel
+/// FNV-1a over the value bytes (same rationale as the thread
 /// suite: store chunks carry their own CRC trailer, which makes CRC a
 /// constant-residue fingerprint).
 fn fnv1a(bytes: &[u8]) -> u64 {

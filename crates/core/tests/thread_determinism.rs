@@ -1,16 +1,15 @@
-//! The determinism suite for exact data-parallel training.
+//! The thread-invariance suite for exact posit training.
 //!
-//! Every shard of a step adds its gradients into the one quire accumulator
-//! (integer fixed-point, exact) each parameter owns for the step, so the
-//! sum is associative and commutative and rounds ONCE — the result cannot
-//! depend on the shard count or the worker-pool width. These tests pin
-//! that claim end to end: training runs under
-//! `POSIT_TENSOR_THREADS ∈ {1, 2, 4, 7}` × shard counts must reproduce the
-//! 1-shard baseline's loss curve, final packed weights and checkpoint
-//! bytes bit-for-bit.
+//! Every GEMM row block of a step adds its gradients into the one quire
+//! accumulator (integer fixed-point, exact) each parameter owns for the
+//! step, so the sum is associative and commutative and rounds ONCE — the
+//! result cannot depend on the worker-pool width. These tests pin that
+//! claim end to end: training runs under `POSIT_TENSOR_THREADS ∈ {2, 4, 7}`
+//! must reproduce the 1-thread baseline's loss curve, final packed
+//! weights and checkpoint bytes bit-for-bit.
 //!
 //! The worker-pool width is latched in a process-global `OnceLock` at
-//! first use, so each (threads, shards) cell runs in a fresh child
+//! first use, so each (model, threads) cell runs in a fresh child
 //! process: the test re-execs its own binary with `--exact <test name>`
 //! and env-var guards, and every child writes a textual fingerprint
 //! (per-epoch loss/accuracy bits + a key-by-key CRC of the final
@@ -27,11 +26,11 @@ use posit_train::{
 use std::fmt::Write as _;
 use std::process::Command;
 
-/// Child-mode env vars. `DPD_MODEL`/`DPD_SHARDS` select the
-/// cell, `DPD_OUT` the fingerprint path; `DPD_EPOCHS` optionally truncates
-/// the schedule (the "killed" half of the resume scenario) and
-/// `DPD_STORE` routes checkpoints to a shared on-disk store.
-const CHILD_GUARD: &str = "DPD_OUT";
+/// Child-mode env vars. `TD_MODEL` selects the model, `TD_OUT` the
+/// fingerprint path; `TD_EPOCHS` sets the schedule length, `TD_TRUNCATE`
+/// stops the run early (the "killed" half of the resume scenario) and
+/// `TD_STORE` routes checkpoints to a shared on-disk store.
+const CHILD_GUARD: &str = "TD_OUT";
 
 fn quant() -> QuantSpec {
     QuantSpec::cifar_paper()
@@ -63,14 +62,13 @@ fn trainer_for(model: &str, cfg: &TrainConfig) -> Trainer {
     Trainer::from_net(net, Some(control))
 }
 
-fn config_for(model: &str, epochs: usize, shards: usize) -> TrainConfig {
+fn config_for(model: &str, epochs: usize) -> TrainConfig {
     let mut cfg = TrainConfig::cifar_scaled(4, epochs)
         .with_seed(3)
-        .with_quant(quant())
-        .with_data_parallel(shards);
+        .with_quant(quant());
     if model == "mlp" {
         cfg.num_classes = 4;
-        cfg.batch_size = 17; // deliberately not divisible by any shard count
+        cfg.batch_size = 17; // odd, so the pool's row blocks are uneven
     }
     cfg
 }
@@ -119,20 +117,19 @@ fn fingerprint(report: &TrainReport, store: &dyn Store) -> String {
     s
 }
 
-/// Run one (model, shards) training in this process and write the
-/// fingerprint to `DPD_OUT`.
+/// Run one model's training in this process and write the fingerprint
+/// to `TD_OUT`.
 fn run_child() {
     let out = std::env::var(CHILD_GUARD).unwrap();
-    let model = std::env::var("DPD_MODEL").unwrap();
-    let shards: usize = std::env::var("DPD_SHARDS").unwrap().parse().unwrap();
-    let epochs: usize = std::env::var("DPD_EPOCHS")
+    let model = std::env::var("TD_MODEL").unwrap();
+    let epochs: usize = std::env::var("TD_EPOCHS")
         .map(|e| e.parse().unwrap())
         .unwrap_or(2);
-    let mut cfg = config_for(&model, epochs, shards);
+    let mut cfg = config_for(&model, epochs);
     // "Kill" the run early while keeping the full schedule (the LR
     // milestones are derived from `epochs`, so shortening the schedule
     // itself would train a different run, not a prefix of the same one).
-    if let Ok(t) = std::env::var("DPD_TRUNCATE") {
+    if let Ok(t) = std::env::var("TD_TRUNCATE") {
         cfg.epochs = t.parse().unwrap();
     }
     let (train, test) = match model.as_str() {
@@ -140,7 +137,7 @@ fn run_child() {
         _ => mlp_data(),
     };
     let mut trainer = trainer_for(&model, &cfg);
-    let fp = match std::env::var("DPD_STORE") {
+    let fp = match std::env::var("TD_STORE") {
         Ok(dir) => {
             // Resume scenario: checkpoints shared across processes.
             let store = FsStore::open(dir).unwrap();
@@ -171,23 +168,21 @@ fn spawn_cell(
     tag: &str,
     model: &str,
     threads: usize,
-    shards: usize,
     extra: &[(&str, String)],
 ) -> Child {
-    let label = format!("{tag}: {model} threads={threads} shards={shards}");
-    let out = scratch.join(format!("{tag}-{model}-t{threads}-s{shards}.fp"));
+    let label = format!("{tag}: {model} threads={threads}");
+    let out = scratch.join(format!("{tag}-{model}-t{threads}.fp"));
     let mut cmd = Command::new(std::env::current_exe().unwrap());
     cmd.stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .args([
             "--exact",
-            "data_parallel_training_is_bit_identical_to_serial",
+            "training_is_bit_identical_across_thread_counts",
             "--nocapture",
         ])
         .env("POSIT_TENSOR_THREADS", threads.to_string())
         .env(CHILD_GUARD, &out)
-        .env("DPD_MODEL", model)
-        .env("DPD_SHARDS", shards.to_string());
+        .env("TD_MODEL", model);
     for (k, v) in extra {
         cmd.env(k, v);
     }
@@ -209,60 +204,45 @@ fn join(child: Child) -> String {
 }
 
 #[test]
-fn data_parallel_training_is_bit_identical_to_serial() {
+fn training_is_bit_identical_across_thread_counts() {
     if std::env::var(CHILD_GUARD).is_ok() {
         run_child();
         return;
     }
-    let scratch = std::env::temp_dir().join(format!("dpd-{}", std::process::id()));
+    let scratch = std::env::temp_dir().join(format!("thread-det-{}", std::process::id()));
     // A previous failed run may have left checkpoints here (and the PID
     // can recycle): the resume scenario needs a clean store.
     std::fs::remove_dir_all(&scratch).ok();
     std::fs::create_dir_all(&scratch).unwrap();
 
-    // The sweep: every worker-pool width crossed with shard counts
-    // (1..6), including counts that do not divide the batch (32, and 17
-    // for the MLP), plus the 1-shard baseline itself re-run on a wide pool.
-    let cells: &[(&str, usize, usize)] = &[
-        ("lenet", 1, 4),
-        ("lenet", 2, 2),
-        ("lenet", 4, 4),
-        ("lenet", 7, 6),
-        ("lenet", 7, 1),
-        ("mlp", 1, 2),
-        ("mlp", 2, 4),
-        ("mlp", 4, 4),
-        ("mlp", 4, 5),
-        ("mlp", 7, 4),
-        ("mlp", 7, 1),
-    ];
+    // The sweep: every worker-pool width against the model's 1-thread
+    // baseline.
     let mut children = Vec::new();
-    // 1-shard baselines on a single-thread pool.
     for model in ["lenet", "mlp"] {
-        children.push(spawn_cell(&scratch, "sweep", model, 1, 1, &[]));
+        children.push(spawn_cell(&scratch, "sweep", model, 1, &[]));
     }
-    for &(model, threads, shards) in cells {
-        children.push(spawn_cell(&scratch, "sweep", model, threads, shards, &[]));
+    for model in ["lenet", "mlp"] {
+        for threads in [2, 4, 7] {
+            children.push(spawn_cell(&scratch, "sweep", model, threads, &[]));
+        }
     }
 
-    // Resume scenario: kill a 2-shard run on a 2-thread pool after epoch 2
-    // of 3, resume it as 3 shards on a 7-thread pool, and demand the
-    // uninterrupted 1-shard run's bits (the checkpoint stores no shard
-    // geometry and no thread count).
+    // Resume scenario: kill a run on a 2-thread pool after epoch 2 of 3,
+    // resume it on a 7-thread pool, and demand the uninterrupted 1-thread
+    // run's bits (the checkpoint stores no thread count).
     let store_dir = scratch.join("resume-store");
-    let epochs3 = [("DPD_EPOCHS", "3".to_string())];
-    let serial3 = spawn_cell(&scratch, "resume", "mlp", 1, 1, &epochs3);
+    let epochs3 = [("TD_EPOCHS", "3".to_string())];
+    let serial3 = spawn_cell(&scratch, "resume", "mlp", 1, &epochs3);
     let serial3_fp = join(serial3);
     let prefix = spawn_cell(
         &scratch,
         "resume",
         "mlp",
         2,
-        2,
         &[
-            ("DPD_EPOCHS", "3".to_string()),
-            ("DPD_TRUNCATE", "2".to_string()),
-            ("DPD_STORE", store_dir.display().to_string()),
+            ("TD_EPOCHS", "3".to_string()),
+            ("TD_TRUNCATE", "2".to_string()),
+            ("TD_STORE", store_dir.display().to_string()),
         ],
     );
     join(prefix); // 2-epoch prefix checkpointed on disk
@@ -271,19 +251,18 @@ fn data_parallel_training_is_bit_identical_to_serial() {
         "resume",
         "mlp",
         7,
-        3,
         &[
-            ("DPD_EPOCHS", "3".to_string()),
-            ("DPD_STORE", store_dir.display().to_string()),
+            ("TD_EPOCHS", "3".to_string()),
+            ("TD_STORE", store_dir.display().to_string()),
         ],
     );
     let resumed_fp = join(finish);
     assert_eq!(
         resumed_fp, serial3_fp,
-        "resume across thread counts and shard counts drifted from the 1-shard run"
+        "resume across thread counts drifted from the uninterrupted 1-thread run"
     );
 
-    // Sweep results: every cell must match its model's 1-shard baseline.
+    // Sweep results: every cell must match its model's 1-thread baseline.
     let mut results = Vec::new();
     for c in children {
         let label = c.label.clone();
@@ -298,7 +277,7 @@ fn data_parallel_training_is_bit_identical_to_serial() {
         };
         assert_eq!(
             *fp, base.1,
-            "{label} diverged from the 1-shard baseline ({})",
+            "{label} diverged from the 1-thread baseline ({})",
             base.0
         );
     }

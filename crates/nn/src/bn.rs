@@ -65,13 +65,6 @@ impl Layer for BatchNorm2d {
         LayerKind::BatchNorm
     }
 
-    // Batch statistics couple every row of the mini-batch: splitting the
-    // batch into shards would change the per-shard mean/variance, so BN
-    // nets cannot use the exact data-parallel protocol.
-    fn batch_separable(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &str {
         &self.name
     }

@@ -86,24 +86,21 @@ pub trait Layer: Send {
         let _ = lookup;
     }
 
-    /// True iff forward and backward treat each batch row independently,
-    /// so a batch may be split into row shards and the per-shard results
-    /// concatenated/summed without changing any value. Layers that couple
-    /// rows (BatchNorm's batch statistics) return `false`; containers
-    /// fold over their children. Data-parallel training requires every
-    /// layer in the net to be separable.
+    /// Unused: a training step runs each batch whole, so nothing asks
+    /// whether a layer's rows could be split. Only the benchmark's timing
+    /// wrapper (`perfbench/src/trace.rs`) still forwards it. Default:
+    /// `true`.
     fn batch_separable(&self) -> bool {
         true
     }
 
     /// Open a gradient batch of `total_samples` rows. A training step is
-    /// one such batch: the trainer runs its shards one after another, and
-    /// until [`Layer::end_grad_batch`] every quire-backend backward adds
-    /// its `ΔW` products into the one exact accumulator each parameter
-    /// owns ([`Param::batch`]) instead of rounding into
+    /// one such batch: until [`Layer::end_grad_batch`] every quire-backend
+    /// backward adds its `ΔW` products into the one exact accumulator each
+    /// parameter owns ([`Param::batch`]) instead of rounding into
     /// [`Param::grad`]. `total_samples` is the whole batch's row count,
-    /// so the accumulator is sized for every shard it will see. A backward
-    /// with no open batch counts as a batch of its own.
+    /// so the accumulator is sized for every backward it will see. A
+    /// backward with no open batch counts as a batch of its own.
     ///
     /// Default: open the batch on every parameter of
     /// [`Layer::params_mut`] — right for every leaf layer. Containers
@@ -115,10 +112,10 @@ pub trait Layer: Send {
         }
     }
 
-    /// Unused: shards add into the batch's one accumulator per parameter,
-    /// so there is no per-shard state to open. Only the benchmark's timing
-    /// wrapper (`perfbench/src/trace.rs`) still forwards it. Default:
-    /// no-op.
+    /// Unused: every backward adds into the batch's one accumulator per
+    /// parameter, so there is no per-shard state to open. Only the
+    /// benchmark's timing wrapper (`perfbench/src/trace.rs`) still
+    /// forwards it. Default: no-op.
     fn begin_grad_shard(&mut self) {}
 
     /// Close the gradient batch: round each parameter's exact sum once
@@ -342,10 +339,6 @@ impl Layer for Sequential {
         }
     }
 
-    fn batch_separable(&self) -> bool {
-        self.layers.iter().all(|l| l.batch_separable())
-    }
-
     fn begin_grad_batch(&mut self, total_samples: usize) {
         for layer in &mut self.layers {
             layer.begin_grad_batch(total_samples);
@@ -464,10 +457,6 @@ impl Layer for Residual {
     fn restore_state_entries(&mut self, lookup: &dyn Fn(&str) -> Option<Vec<u8>>) {
         self.main.restore_state_entries(lookup);
         self.shortcut.restore_state_entries(lookup);
-    }
-
-    fn batch_separable(&self) -> bool {
-        self.main.batch_separable() && self.shortcut.batch_separable()
     }
 
     fn begin_grad_batch(&mut self, total_samples: usize) {

@@ -111,8 +111,8 @@ impl Layer for Linear {
             // accumulators and round once when the batch closes — here,
             // if this backward is a batch of its own. The margins come
             // from the planes' scale shifts, which are the same for every
-            // shard (the input plane's scale exponent is frozen on the
-            // whole batch before sharding).
+            // row block of the batch (the input plane's scale exponent is
+            // frozen on the whole batch).
             let own_batch = !self.weight.batch.is_open();
             if own_batch {
                 self.begin_grad_batch(n);

@@ -20,35 +20,6 @@ impl SoftmaxCrossEntropy {
     ///
     /// Panics if shapes disagree or a target index is out of range.
     pub fn forward(&self, logits: &Tensor, targets: &[usize]) -> (f64, Tensor) {
-        let n = targets.len();
-        let (vals, grad) = self.forward_shard(logits, targets, n);
-        // `acc += -ln p` is bit-identical to the historical `acc -= ln p`
-        // fold (IEEE negation is exact), so the per-sample API is a pure
-        // refactor of the mean.
-        let mut loss = 0.0f64;
-        for v in vals {
-            loss += v;
-        }
-        (loss / n as f64, grad)
-    }
-
-    /// Per-sample losses and gradient rows for one shard of a larger
-    /// batch: `vals[i] = -ln p_target(i)` and gradient rows
-    /// `(p − onehot) / total_n`, normalized by the *whole* batch's row
-    /// count. Per-shard gradients therefore concatenate to exactly the
-    /// full-batch gradient, and an f64 fold of the `vals` in global
-    /// sample order (then `/ total_n`) reproduces the unsharded mean loss
-    /// bit-for-bit — the loss side of the exact data-parallel protocol.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes disagree or a target index is out of range.
-    pub fn forward_shard(
-        &self,
-        logits: &Tensor,
-        targets: &[usize],
-        total_n: usize,
-    ) -> (Vec<f64>, Tensor) {
         // Softmax is f32 arithmetic: packed posit logits decode here.
         let logits = logits.dense();
         let logits = logits.as_ref();
@@ -57,21 +28,21 @@ impl SoftmaxCrossEntropy {
         let (n, c) = (sh[0], sh[1]);
         assert_eq!(targets.len(), n, "target count mismatch");
         let mut grad = Tensor::zeros(sh);
-        let mut vals = Vec::with_capacity(n);
+        let mut loss = 0.0f64;
         for (i, &t) in targets.iter().enumerate() {
             let row = &logits.data()[i * c..(i + 1) * c];
             assert!(t < c, "target {t} out of range {c}");
             let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
             let exps: Vec<f64> = row.iter().map(|&x| ((x - max) as f64).exp()).collect();
             let z: f64 = exps.iter().sum();
-            vals.push(-(exps[t] / z).ln());
+            loss += -(exps[t] / z).ln();
             let g = &mut grad.data_mut()[i * c..(i + 1) * c];
             for (j, gj) in g.iter_mut().enumerate() {
                 let p = (exps[j] / z) as f32;
-                *gj = (p - if j == t { 1.0 } else { 0.0 }) / total_n as f32;
+                *gj = (p - if j == t { 1.0 } else { 0.0 }) / n as f32;
             }
         }
-        (vals, grad)
+        (loss / n as f64, grad)
     }
 
     /// Per-row softmax probabilities (for calibration inspection).
@@ -139,35 +110,6 @@ mod tests {
             let num = (fp - fm) / (2.0 * eps as f64);
             let ana = grad.data()[idx] as f64;
             assert!((num - ana).abs() < 1e-3, "d[{idx}] {num} vs {ana}");
-        }
-    }
-
-    #[test]
-    fn sharded_loss_and_grad_reassemble_the_batch_bitwise() {
-        let mut rng = Prng::seed(12);
-        let n = 7;
-        let logits = Tensor::rand_normal(&[n, 5], 0.0, 2.0, &mut rng);
-        let targets = [2usize, 0, 4, 1, 3, 0, 2];
-        let lossfn = SoftmaxCrossEntropy::new();
-        let (want_loss, want_grad) = lossfn.forward(&logits, &targets);
-        for splits in [vec![n], vec![3, 4], vec![2, 2, 3], vec![1; n]] {
-            let mut acc = 0.0f64;
-            let mut grad = Vec::new();
-            let mut start = 0;
-            for &rows in &splits {
-                let (vals, g) = lossfn.forward_shard(
-                    &logits.slice_rows(start, start + rows),
-                    &targets[start..start + rows],
-                    n,
-                );
-                for v in vals {
-                    acc += v;
-                }
-                grad.extend_from_slice(g.data());
-                start += rows;
-            }
-            assert_eq!(acc / n as f64, want_loss, "loss bits {splits:?}");
-            assert_eq!(grad, want_grad.data(), "grad rows {splits:?}");
         }
     }
 

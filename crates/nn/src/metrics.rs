@@ -12,25 +12,12 @@ pub fn top1_accuracy(logits: &Tensor, targets: &[usize]) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    top1_correct(logits, targets) as f64 / n as f64
-}
-
-/// Integer count of top-1 hits of logits `[N, C]` against integer
-/// targets. An integer is exactly summable across batch shards, so
-/// per-shard counts reassemble the unsharded accuracy bit-for-bit
-/// (`Σ correct / N` — the accuracy side of the exact data-parallel
-/// protocol).
-///
-/// # Panics
-///
-/// Panics if shapes disagree.
-pub fn top1_correct(logits: &Tensor, targets: &[usize]) -> usize {
     let logits = logits.dense();
     let logits = logits.as_ref();
     let sh = logits.shape();
     assert_eq!(sh.len(), 2, "logits must be [N, C]");
-    let (n, c) = (sh[0], sh[1]);
-    assert_eq!(targets.len(), n, "target count mismatch");
+    let c = sh[1];
+    assert_eq!(sh[0], n, "target count mismatch");
     let mut correct = 0usize;
     for (i, &target) in targets.iter().enumerate() {
         let row = &logits.data()[i * c..(i + 1) * c];
@@ -44,7 +31,7 @@ pub fn top1_correct(logits: &Tensor, targets: &[usize]) -> usize {
             correct += 1;
         }
     }
-    correct
+    correct as f64 / n as f64
 }
 
 /// A running average (weighted by sample count), for loss/accuracy meters.

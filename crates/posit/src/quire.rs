@@ -237,10 +237,9 @@ impl Quire {
     /// two's-complement integers (dropping the top carry, which the 32
     /// guard bits keep meaningless) and NaR absorbs. Because the merged
     /// value is the *exact* integer sum of both accumulators, merging is
-    /// associative and commutative — any reduction tree over per-shard
+    /// associative and commutative — any reduction tree over partial
     /// quires rounds to the same code word as one quire fed every product,
-    /// which is what makes a data-parallel gradient all-reduce
-    /// bit-deterministic.
+    /// so how a sum is split across workers cannot change a bit.
     ///
     /// # Panics
     ///

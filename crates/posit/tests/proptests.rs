@@ -276,7 +276,7 @@ fn p16_words() -> impl Strategy<Value = u64> {
 }
 
 proptest! {
-    // The algebraic heart of the exact data-parallel all-reduce: a quire
+    // The algebraic heart of split-invariant exact accumulation: a quire
     // is an integer fixed-point sum, so accumulating any PERMUTATION of
     // the products, partitioned into ANY set of shards, and merging the
     // shard quires must reproduce the serial fold's rounded posit

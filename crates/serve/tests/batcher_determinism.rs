@@ -9,7 +9,7 @@
 //! `POSIT_TENSOR_THREADS ∈ {1, 4}` × `max_batch ∈ {1, 8}` (the pool width
 //! latches in a process-global at first use, so each cell needs a fresh
 //! process) and compares logit fingerprints, the same harness pattern as
-//! `posit-train`'s data-parallel suite.
+//! `posit-train`'s `thread_determinism` suite.
 
 use posit_nn::{checkpoint, Layer, Sequential};
 use posit_serve::{InferenceServer, ServeConfig, ServeError, ServedModel};
