@@ -1,10 +1,12 @@
 #!/usr/bin/env sh
 # CI stage: perfbench check. Runs each benchmark workload briefly,
-# untraced, and fails unless its summary line (the last line of stdout)
-# reports `"correct": true` and `"failed": 0`. perfbench checks every
-# epoch's loss/accuracy bits and every served-logit digest against
-# perfbench/expected/outputs.txt, so a change that moves training or
-# serving bits fails here even though every timing is ignored.
+# untraced, then one traced pass (which covers all three pipelines and
+# the kernel probes through the timing wrappers), and fails unless each
+# summary line (the last line of stdout) reports `"correct": true` and
+# `"failed": 0`. perfbench checks every epoch's loss/accuracy bits and
+# every served-logit digest against perfbench/expected/outputs.txt, so a
+# change that moves training or serving bits, traced or not, fails here
+# even though every timing is ignored.
 #
 #   ci/perfbench-check.sh [seed]    (default seed 0)
 set -eu
@@ -12,21 +14,28 @@ cd "$(dirname "$0")/.."
 
 seed="${1:-0}"
 failed=0
-for workload in train-lenet8 train-mlp16 serve-lenet8; do
-    echo "==> perfbench --workload $workload --seed $seed --seconds 2 --trace 0"
+
+# check <workload> <trace>: one perfbench run, judged by its summary line.
+check() {
+    echo "==> perfbench --workload $1 --seed $seed --seconds 2 --trace $2"
     out=$(cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed "$seed" --seconds 2 --trace 0) || {
-        echo "FAIL: perfbench exited non-zero on $workload"
+        --workload "$1" --seed "$seed" --seconds 2 --trace "$2") || {
+        echo "FAIL: perfbench exited non-zero on $1 (trace $2)"
         failed=1
-        continue
+        return 0
     }
     last=$(printf '%s\n' "$out" | tail -n 1)
     if printf '%s' "$last" | grep -q '"correct": true' &&
         printf '%s' "$last" | grep -q '"failed": 0[,}]'; then
-        echo "ok: $workload"
+        echo "ok: $1 (trace $2)"
     else
-        echo "FAIL: $workload summary: $last"
+        echo "FAIL: $1 (trace $2) summary: $last"
         failed=1
     fi
+}
+
+for workload in train-lenet8 train-mlp16 serve-lenet8; do
+    check "$workload" 0
 done
+check train-lenet8 1
 exit "$failed"

@@ -4,10 +4,10 @@
 //! Extra variants isolate where the quire path's time goes:
 //!
 //! * `posit-quire` includes the per-call operand unpack (what the `nn`
-//!   layers pay on a cache miss);
+//!   layers pay on every GEMM);
 //! * `posit-quire-preplaned` reuses decoded planes across iterations (what
-//!   a weight-stationary kernel pays — the decode-once upside, and what
-//!   the layers' `OperandCache` achieves for weights);
+//!   a weight-stationary kernel would pay — the decode-once upside, which
+//!   the `nn` layers do not take: their weights change every step);
 //! * `posit-quire-widequire` is preplaned with the narrow i128 fast path
 //!   disabled — the gap to `preplaned` is the narrow-accumulator win;
 //! * `posit-quire-serial` is preplaned inside a `serial_scope` — the gap

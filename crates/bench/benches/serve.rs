@@ -4,8 +4,8 @@
 //! — `serve.batched` as one 8-row GEMM batch, `serve.single` as 8
 //! single-sample batches — so their ns/iter are directly comparable
 //! per-sample costs. The batched row's win is the batcher amortizing
-//! per-forward fixed costs (im2col staging, kernel dispatch, operand
-//! cache lookups, activation-plane packing setup) over the rows of one
+//! per-forward fixed costs (im2col staging, kernel dispatch, the weight
+//! plane decode, activation-plane packing setup) over the rows of one
 //! GEMM; the 1-channel LeNet keeps the proportional GEMM work small
 //! enough that those fixed costs are visible. Both rows sit under the
 //! bench-smoke 1.5x regression gate (`(lenet|mlp|serve).*\/posit-quire`).
@@ -77,8 +77,8 @@ fn bench_serve(c: &mut Criterion) {
     let samples = samples();
 
     // Pre-warm both servers outside the timed windows: the first serve
-    // round through a fresh process pays one-time costs (operand-cache
-    // fills, allocator growth, page faults on the im2col buffers) that
+    // round through a fresh process pays one-time costs (decode-table
+    // builds, allocator growth, page faults on the im2col buffers) that
     // would otherwise land on whichever group happens to run first.
     let mut single = server(1);
     let mut batched = server(BATCH);

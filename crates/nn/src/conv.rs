@@ -3,7 +3,7 @@
 use crate::layer::{Layer, LayerKind};
 use crate::param::Param;
 use posit_tensor::conv::{col2im, conv2d_prepared, im2col, ConvGeom};
-use posit_tensor::{Backend, Layout, Operand, OperandCache, Tensor};
+use posit_tensor::{Backend, Layout, Operand, Tensor};
 
 /// `Conv2d`: NCHW convolution, square kernel, no dilation/groups (all the
 /// paper's ResNets need). Bias is optional — ResNet convs are bias-free
@@ -17,12 +17,6 @@ pub struct Conv2d {
     cached_input: Option<Tensor>,
     fwd_backend: Backend,
     bwd_backend: Backend,
-    /// Per-direction prepared-weight memos keyed on the weight's content
-    /// stamp (see [`posit_tensor::Backend::prepare_tensor_cached`]): the
-    /// weight tile decode survives across batches until the optimizer
-    /// writes new weights.
-    fwd_weight_cache: OperandCache,
-    bwd_weight_cache: OperandCache,
 }
 
 impl Conv2d {
@@ -45,8 +39,6 @@ impl Conv2d {
             cached_input: None,
             fwd_backend: Backend::F32,
             bwd_backend: Backend::F32,
-            fwd_weight_cache: OperandCache::new(),
-            bwd_weight_cache: OperandCache::new(),
         }
     }
 
@@ -96,11 +88,11 @@ impl Layer for Conv2d {
         // dense() is a free borrow for an f32 bias; only a packed bias
         // (posit-resident weights) pays a decode.
         let bias = self.bias.as_ref().map(|b| b.value.dense());
-        // The prepared weight tile is memoized across batches (content
-        // stamp keyed), not just across the samples of one batch.
+        // The weight tile is prepared once and shared by every sample's
+        // GEMM.
         let w_prep = self
             .fwd_backend
-            .prepare_tensor_cached(&self.weight.value, &mut self.fwd_weight_cache);
+            .prepare_operand(self.weight.value.operand());
         conv2d_prepared(
             &w_prep,
             self.weight.value.shape(),
@@ -141,14 +133,14 @@ impl Layer for Conv2d {
         let mut col = vec![0.0f32; rows * cols];
         let mut dcol = vec![0.0f32; rows * cols];
         // weight as [O, rows]; grad_out sample as [O, cols]. The weight
-        // operand of the dX GEMM comes from the backward-direction memo
-        // (decode-once from packed bits for the quire backend, reused
-        // across batches until the weight content changes). The quire
-        // kernel still re-packs this plane into its A panel per sample —
-        // a known, bounded cost (O(O·rows) per O(rows·O·cols) GEMM, a few
-        // percent at the LeNet shapes) that batching the per-sample GEMMs
-        // would remove at the price of restructuring col2im.
-        let w_prep = bwd.prepare_tensor_cached(&self.weight.value, &mut self.bwd_weight_cache);
+        // operand of the dX GEMM is prepared once per backward (decode-once
+        // from packed bits for the quire backend) and shared by every
+        // sample. The quire kernel still re-packs this plane into its A
+        // panel per sample — a known, bounded cost (O(O·rows) per
+        // O(rows·O·cols) GEMM, a few percent at the LeNet shapes) that
+        // batching the per-sample GEMMs would remove at the price of
+        // restructuring col2im.
+        let w_prep = bwd.prepare_operand(self.weight.value.operand());
         for i in 0..n {
             let dy = &grad_out.data()[i * sample_out..(i + 1) * sample_out];
             // ΔW += dY · colᵀ  — [O, cols] × [cols, rows]
@@ -424,6 +416,48 @@ mod tests {
             let ana = layer.weight.grad.data()[idx] as f64;
             assert!((num - ana).abs() < 2e-2 * (1.0 + ana.abs()), "dW[{idx}]");
         }
+    }
+
+    #[test]
+    fn forward_and_backward_see_weight_updates() {
+        // A 1×1 conv over a one-hot input: the forward returns the weight
+        // as [O, C], and a one-hot dY makes dX its transpose. Both must
+        // follow in-place optimizer-style writes and whole-storage
+        // replacements (the Quantized wrapper's packed-view install).
+        let fmt = posit::PositFormat::of(8, 1);
+        let qui = Backend::PositQuire {
+            fmt,
+            rounding: posit::Rounding::NearestEven,
+        };
+        let eye = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[1, 2, 1, 2]);
+        let w = Tensor::from_vec(vec![1.0, 2.0, -0.5, 4.0], &[2, 2, 1, 1]);
+        let mut l = Conv2d::new("c", w, None, 1, 0);
+        l.set_backends(qui, qui);
+        let y1 = l.forward(&eye, true);
+        let g1 = l.backward(&eye);
+        assert_eq!(y1.data(), &[1.0, 2.0, -0.5, 4.0], "W ⊛ one-hot");
+        assert_eq!(g1.data(), &[1.0, -0.5, 2.0, 4.0], "Wᵀ · one-hot dY");
+        // In-place update (what Sgd::step does).
+        l.params_mut()[0].value.data_mut()[0] = 8.0;
+        let y2 = l.forward(&eye, true);
+        let g2 = l.backward(&eye);
+        assert_eq!(y2.data(), &[8.0, 2.0, -0.5, 4.0], "fwd sees the update");
+        assert_eq!(g2.data(), &[8.0, -0.5, 2.0, 4.0], "bwd sees the update");
+        // Storage replacement (a packed weight view).
+        l.params_mut()[0].value = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25], &[2, 2, 1, 1])
+            .to_posit(fmt, 0, posit::Rounding::NearestEven);
+        let y3 = l.forward(&eye, true);
+        let g3 = l.backward(&eye);
+        assert_eq!(
+            y3.data(),
+            &[0.5, -1.0, 2.0, 0.25],
+            "fwd sees the replacement"
+        );
+        assert_eq!(
+            g3.data(),
+            &[0.5, 2.0, -1.0, 0.25],
+            "bwd sees the replacement"
+        );
     }
 
     #[test]

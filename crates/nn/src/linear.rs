@@ -2,7 +2,7 @@
 
 use crate::layer::{Layer, LayerKind};
 use crate::param::Param;
-use posit_tensor::{Backend, Layout, OperandCache, Tensor};
+use posit_tensor::{Backend, Layout, Tensor};
 
 /// `Linear`: `y[N,out] = x[N,in] · Wᵀ + b`, weight stored `[out, in]`.
 pub struct Linear {
@@ -12,13 +12,6 @@ pub struct Linear {
     cached_input: Option<Tensor>,
     fwd_backend: Backend,
     bwd_backend: Backend,
-    /// Per-direction prepared-weight memos (decoded posit plane /
-    /// quantized copy), keyed on the weight's content stamp — the weight
-    /// decode is paid once per weight update, not once per GEMM. Forward
-    /// and backward run under different backends in the paper's recipes,
-    /// hence two slots.
-    fwd_weight_cache: OperandCache,
-    bwd_weight_cache: OperandCache,
 }
 
 impl Linear {
@@ -33,8 +26,6 @@ impl Linear {
             cached_input: None,
             fwd_backend: Backend::F32,
             bwd_backend: Backend::F32,
-            fwd_weight_cache: OperandCache::new(),
-            bwd_weight_cache: OperandCache::new(),
         }
     }
 
@@ -80,13 +71,10 @@ impl Layer for Linear {
         let mut out = Tensor::zeros(&[n, o]);
         // y = x · Wᵀ — input and weight flow in whichever storage domain
         // they arrived in (packed posit planes feed the quire kernel with
-        // no f32 staging); the decoded weight operand is memoized across
-        // calls until the weight content changes.
+        // no f32 staging).
         let x = self.fwd_backend.prepare_operand(input.operand());
-        let w = self
-            .fwd_backend
-            .prepare_tensor_cached(&self.weight.value, &mut self.fwd_weight_cache);
-        x.gemm_with(Layout::ABt, n, k, o, &w, out.data_mut());
+        let w = self.weight.value.operand();
+        x.gemm_with(Layout::ABt, n, k, o, w, out.data_mut());
         if let Some(b) = &self.bias {
             let bv = b.value.dense();
             for i in 0..n {
@@ -155,14 +143,11 @@ impl Layer for Linear {
                 }
             }
         }
-        // dX = dY · W — [n, o] × [o, k]; the weight operand comes from the
-        // backward-direction memo (shared with later steps until updated).
+        // dX = dY · W — [n, o] × [o, k]
         let mut grad_in = Tensor::zeros(&[n, k]);
         let dy = self.bwd_backend.prepare_operand(grad_out.operand());
-        let w = self
-            .bwd_backend
-            .prepare_tensor_cached(&self.weight.value, &mut self.bwd_weight_cache);
-        dy.gemm_with(Layout::AB, n, o, k, &w, grad_in.data_mut());
+        let w = self.weight.value.operand();
+        dy.gemm_with(Layout::AB, n, o, k, w, grad_in.data_mut());
         grad_in
     }
 
@@ -289,10 +274,10 @@ mod tests {
     }
 
     #[test]
-    fn weight_cache_tracks_updates_across_steps() {
-        // The memoized weight plane must follow in-place optimizer-style
-        // writes and whole-storage replacements (the Quantized wrapper's
-        // packed-view install), through forward and backward.
+    fn forward_and_backward_see_weight_updates() {
+        // Forward and backward must follow in-place optimizer-style writes
+        // and whole-storage replacements (the Quantized wrapper's
+        // packed-view install).
         let fmt = posit::PositFormat::of(8, 1);
         let qui = Backend::PositQuire {
             fmt,
@@ -303,7 +288,6 @@ mod tests {
         let dy = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
         let mut l = Linear::new("fc", w, None);
         l.set_backends(qui, qui);
-        // First step: populate both caches.
         let y1 = l.forward(&x, true);
         let g1 = l.backward(&dy);
         assert_eq!(y1.data(), &[1.0, -0.5, 2.0, 4.0], "x·Wᵀ with x = I");

@@ -17,9 +17,9 @@
 //!
 //! Batches execute as one `[n, …]` eval forward per flush — on the
 //! posit-quire backend that is one exact GEMM per layer over packed posit
-//! planes, with posit-resident weights (`MasterWeights::Posit`) reused
-//! across batches and the work spread over the `posit_tensor::workers`
-//! pool. Because the quire accumulates exactly per output element and
+//! planes, its weight operand decoded once per batch (from weights that
+//! stay packed across batches under `MasterWeights::Posit`) and the work
+//! spread over the `posit_tensor::workers` pool. Because the quire accumulates exactly per output element and
 //! every eval-mode layer is row-separable, **batched logits are
 //! bit-identical to single-sample logits** for any batch shape, submit
 //! interleaving, or thread count — the batcher buys throughput without

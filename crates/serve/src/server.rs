@@ -185,8 +185,7 @@ pub struct ServeStats {
 /// flushes when its oldest request has waited `max_wait_ticks` ticks of
 /// the virtual clock ([`tick`]). Batches execute as one `[n, …]` forward
 /// on the served network — under the posit-quire backend that is one GEMM
-/// per layer with the packed weight planes reused across batches (serve
-/// with `MasterWeights::Posit` so the planes stay resident), threaded by
+/// per layer, its weight operand decoded once per batch, threaded by
 /// `posit_tensor::workers`.
 ///
 /// **Determinism contract:** for a model with frozen quantization state

@@ -143,16 +143,6 @@ impl Backend {
         }
     }
 
-    /// The rounding mode the kernels actually apply: stochastic degrades to
-    /// nearest-even (the kernels carry no per-element random stream).
-    pub(crate) fn op_rounding(rounding: Rounding) -> Rounding {
-        if rounding == Rounding::Stochastic {
-            Rounding::NearestEven
-        } else {
-            rounding
-        }
-    }
-
     /// Prepare a left operand once for repeated GEMMs under this backend —
     /// the decode-once contract extended across calls (e.g. a conv batch
     /// loop where the weight tile is the `A` operand of every sample's
@@ -166,73 +156,11 @@ impl Backend {
     /// packed posit operand matching a [`Backend::PositQuire`] format is
     /// decoded once from its code words with no f32 staging.
     pub fn prepare_operand<'a>(&self, op: Operand<'a>) -> PreparedOperand<'a> {
-        if let (Backend::F32, Operand::F32(xs)) = (self, op) {
-            return PreparedOperand {
-                inner: Prepared::F32(Cow::Borrowed(xs)),
-            };
-        }
-        self.prepare_owned(op)
-    }
-
-    /// [`Backend::prepare_operand`] for a tensor operand, memoized in
-    /// `cache` and keyed on the tensor's content stamp
-    /// ([`crate::Tensor::version`]) plus this backend: the expensive part
-    /// of preparation (posit decode into a plane, a packed-tensor decode to
-    /// f32) is paid once per distinct weight content instead of once per
-    /// GEMM. A plain f32 tensor under the f32 backend bypasses the cache
-    /// entirely — its preparation is a free borrow.
-    ///
-    /// Invalidation is automatic: any mutable borrow of the tensor's
-    /// buffer, and any storage replacement (an optimizer step, a packed
-    /// weight view install), refreshes the stamp and forces a rebuild on
-    /// the next call.
-    pub fn prepare_tensor_cached<'a>(
-        &self,
-        t: &'a Tensor,
-        cache: &'a mut OperandCache,
-    ) -> PreparedOperand<'a> {
-        if let (Backend::F32, Storage::F32(v)) = (self, t.storage()) {
-            // Free borrow — and drop whatever a previous backend cached
-            // here, so a layer switched to f32 doesn't pin a stale decoded
-            // plane for the rest of the process.
-            cache.slot = None;
-            return PreparedOperand {
-                inner: Prepared::F32(Cow::Borrowed(v)),
-            };
-        }
-        let version = t.version();
-        let valid = cache
-            .slot
-            .as_ref()
-            .is_some_and(|s| s.backend == *self && s.version == version);
-        if posit_obs::enabled() {
-            let o = cache_obs();
-            if valid { &o.hits } else { &o.misses }.incr();
-        }
-        if !valid {
-            cache.slot = Some(CacheSlot {
-                backend: *self,
-                version,
-                prepared: self.prepare_owned(t.operand()),
-            });
-        }
-        cache
-            .slot
-            .as_ref()
-            .expect("slot just filled")
-            .prepared
-            .view()
-    }
-
-    /// The owned preparation every prepare path shares (the free-borrow
-    /// case — f32 data under the f32 backend — is short-circuited by the
-    /// callers before reaching here).
-    fn prepare_owned(&self, op: Operand<'_>) -> PreparedOperand<'static> {
         let inner = match self {
-            Backend::F32 => Prepared::F32(Cow::Owned(op.to_f32_vec().into_owned())),
+            Backend::F32 => Prepared::F32(op.to_f32_vec()),
             Backend::PositQuire { fmt, rounding } => {
                 let kernel = PositGemm::new(*fmt, *rounding);
-                let plane = Cow::Owned(quire_plane(&kernel, op));
+                let plane = quire_plane(&kernel, op);
                 Prepared::Quire { kernel, plane }
             }
         };
@@ -268,69 +196,11 @@ impl Backend {
     ) -> Option<crate::GradQuireBuf> {
         match self {
             Backend::PositQuire { fmt, rounding } => Some(crate::GradQuireBuf::new(
-                *fmt,
-                Self::op_rounding(*rounding),
-                margin,
-                k_total,
-                len,
+                *fmt, *rounding, margin, k_total, len,
             )),
             Backend::F32 => None,
         }
     }
-}
-
-/// Cached handles for the operand-cache hit/miss counters, so the
-/// obs-enabled path costs two atomic ops per lookup instead of a
-/// registry lock.
-struct CacheObs {
-    hits: posit_obs::Counter,
-    misses: posit_obs::Counter,
-}
-
-fn cache_obs() -> &'static CacheObs {
-    static OBS: std::sync::OnceLock<CacheObs> = std::sync::OnceLock::new();
-    OBS.get_or_init(|| {
-        let reg = posit_obs::Registry::global();
-        CacheObs {
-            hits: reg.counter("tensor.cache.hits"),
-            misses: reg.counter("tensor.cache.misses"),
-        }
-    })
-}
-
-/// A memo slot for [`Backend::prepare_tensor_cached`]: one prepared
-/// operand, keyed by the backend that built it and the source tensor's
-/// content stamp. Layers keep one per (weight, direction) so the per-step
-/// weight decode is paid once per weight update instead of once per GEMM.
-#[derive(Default)]
-pub struct OperandCache {
-    slot: Option<CacheSlot>,
-}
-
-impl OperandCache {
-    /// An empty cache.
-    pub fn new() -> OperandCache {
-        OperandCache::default()
-    }
-
-    /// Drop the cached preparation (the next
-    /// [`Backend::prepare_tensor_cached`] rebuilds). Invalidation is
-    /// normally automatic through the tensor's content stamp; this exists
-    /// for callers that want to release the memory.
-    pub fn invalidate(&mut self) {
-        self.slot = None;
-    }
-
-    /// True iff a preparation is currently cached.
-    pub fn is_cached(&self) -> bool {
-        self.slot.is_some()
-    }
-}
-
-struct CacheSlot {
-    backend: Backend,
-    version: u64,
-    prepared: PreparedOperand<'static>,
 }
 
 /// Which GEMM operand is stored transposed: the `c[m,n] += a·b` shapes
@@ -346,8 +216,8 @@ pub enum Layout {
 }
 
 /// The right operand of [`PreparedOperand::gemm_with`]: raw, and prepared
-/// per call under the left operand's kernel, or already prepared (e.g. a
-/// cached weight, see [`Backend::prepare_tensor_cached`]).
+/// per call under the left operand's kernel, or already prepared (one
+/// [`Backend::prepare_operand`] shared by several GEMMs).
 pub enum Rhs<'r, 'b> {
     /// An operand in either storage domain.
     Raw(Operand<'b>),
@@ -384,7 +254,7 @@ enum Prepared<'a> {
     F32(Cow<'a, [f32]>),
     Quire {
         kernel: PositGemm,
-        plane: Cow<'a, PositPlane>,
+        plane: PositPlane,
     },
 }
 
@@ -469,20 +339,7 @@ impl PreparedOperand<'_> {
             Prepared::F32(_) => Prepared::F32(op.to_f32_vec()),
             Prepared::Quire { kernel, .. } => Prepared::Quire {
                 kernel: *kernel,
-                plane: Cow::Owned(quire_plane(kernel, op)),
-            },
-        };
-        PreparedOperand { inner }
-    }
-
-    /// A borrowing view of this preparation (how the operand cache hands
-    /// out its stored entry).
-    fn view(&self) -> PreparedOperand<'_> {
-        let inner = match &self.inner {
-            Prepared::F32(v) => Prepared::F32(Cow::Borrowed(v)),
-            Prepared::Quire { kernel, plane } => Prepared::Quire {
-                kernel: *kernel,
-                plane: Cow::Borrowed(plane),
+                plane: quire_plane(kernel, op),
             },
         };
         PreparedOperand { inner }
@@ -559,6 +416,8 @@ mod tests {
                 assert_eq!(c, want, "packed×packed {} e=({ea},{eb})", bk.name());
                 let c = run(bk, Layout::AB, [2, 3, 2], ta.operand(), pb.operand());
                 assert_eq!(c, want, "f32×packed {}", bk.name());
+                let c = run(bk, Layout::AB, [2, 3, 2], pa.operand(), tb.operand());
+                assert_eq!(c, want, "packed×f32 {}", bk.name());
             }
         }
     }
@@ -637,7 +496,7 @@ mod tests {
         // The A4 ablation configures Rounding::Stochastic; the kernels
         // carry no per-element random stream, so the quire backend must
         // degrade to nearest-even rather than hit from_f64's stochastic
-        // assert.
+        // assert — and so must the exact gradient buffers.
         let bk = Backend::PositQuire {
             fmt: FMT,
             rounding: Rounding::Stochastic,
@@ -647,60 +506,19 @@ mod tests {
         for layout in [Layout::AB, Layout::AtB, Layout::ABt] {
             run(bk, layout, [2, 3, 2], (&a[..]).into(), (&b[..]).into());
         }
-    }
-
-    #[test]
-    fn cached_weight_operand_matches_per_call_preparation() {
-        // A prepared right operand fed from an OperandCache must reproduce
-        // the raw right operand's results under every backend, in both the
-        // A·Bᵀ (forward) and A·B (backward-dX) positions.
-        let w = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.25, 4.0, -0.125], &[2, 3]);
-        let w_t = w.transpose2(); // [3, 2] so W is the B of a plain gemm
-        let x = [1.0f32, -2.0, 0.5, 8.0, 0.25, -1.0]; // [2, 3]
-        for bk in backends() {
-            for (layout, w) in [(Layout::ABt, &w), (Layout::AB, &w_t)] {
-                let mut cache = OperandCache::new();
-                let want = run(bk, layout, [2, 3, 2], Operand::F32(&x), w.operand());
-                for _ in 0..2 {
-                    let xp = bk.prepare(&x);
-                    let wp = bk.prepare_tensor_cached(w, &mut cache);
-                    let mut c = vec![0.0f32; 4];
-                    xp.gemm_with(layout, 2, 3, 2, &wp, &mut c);
-                    assert_eq!(c, want, "{} {layout:?}", bk.name());
-                }
-                // Caches engage for everything but the free-borrow f32 case.
-                assert_eq!(cache.is_cached(), bk != Backend::F32);
-            }
-        }
-    }
-
-    #[test]
-    fn cache_invalidates_on_content_change_and_backend_switch() {
-        let [_, qui] = backends();
-        let mut w = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let x = [1.0f32, 0.0, 0.0, 1.0];
-        let mut cache = OperandCache::new();
-        let run = |w: &Tensor, cache: &mut OperandCache, bk: Backend| {
-            let xp = bk.prepare(&x);
-            let wp = bk.prepare_tensor_cached(w, cache);
-            let mut c = vec![0.0f32; 4];
-            xp.gemm_with(Layout::AB, 2, 2, 2, &wp, &mut c);
-            c
-        };
-        assert_eq!(run(&w, &mut cache, qui), vec![1.0, 2.0, 3.0, 4.0]);
-        // Mutate the weight: the stamp changes, the stale plane must go.
-        w.data_mut()[0] = 8.0;
-        assert_eq!(run(&w, &mut cache, qui), vec![8.0, 2.0, 3.0, 4.0]);
-        // Same content, another quire format: must also rebuild, not reuse
-        // the (16,1) plane (mixing them would trip the kernel-match assert).
-        let qui8 = Backend::PositQuire {
-            fmt: PositFormat::of(8, 1),
-            rounding: Rounding::NearestEven,
-        };
-        assert_eq!(run(&w, &mut cache, qui8), vec![8.0, 2.0, 3.0, 4.0]);
-        cache.invalidate();
-        assert!(!cache.is_cached());
-        assert_eq!(run(&w, &mut cache, qui), vec![8.0, 2.0, 3.0, 4.0]);
+        // x·x = 1 + 2^-14 lies below the midpoint between 1.0 and the next
+        // (16,1) posit, 1 + 2^-12: nearest-even stores 1.0, where an
+        // un-degraded stochastic rounding (zero random word) rounds up.
+        let x = [1.0f32, (-7f32).exp2()];
+        let plane = bk.quire_operand_plane(Operand::F32(&x)).unwrap();
+        let margin = 2 * plane.quire_margin();
+        let mut buf = bk.grad_quire_buf(1, margin, 2).expect("quire backend");
+        buf.accumulate_at_b(1, 2, 1, &plane, &plane);
+        let mut dw = [0.0f32];
+        buf.round_into(&mut dw);
+        assert_eq!(dw, [1.0], "grad buffer rounds to nearest-even");
+        let gemm = run(bk, Layout::AtB, [1, 2, 1], (&x[..]).into(), (&x[..]).into());
+        assert_eq!(gemm, [1.0], "so does the AtB kernel");
     }
 
     #[test]

@@ -129,8 +129,7 @@ pub fn conv2d(
 /// [`crate::Backend`] (`weight_shape` is its `[O,C,KH,KW]` shape): the
 /// per-sample im2col GEMM runs on the backend's kernel family.
 ///
-/// The weight tile is prepared once — per call, or across calls through
-/// [`crate::Backend::prepare_tensor_cached`] — and reused across every
+/// The weight tile is prepared once by the caller and reused across every
 /// sample in the batch: a posit-packed weight tensor matching a
 /// [`crate::Backend::PositQuire`] format is decoded into a plane straight
 /// from its code words (no f32 staging). A posit-packed *input* is decoded

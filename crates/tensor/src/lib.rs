@@ -28,7 +28,7 @@ pub mod storage;
 mod tensor;
 pub mod workers;
 
-pub use backend::{Backend, Layout, Operand, OperandCache, PreparedOperand, Rhs};
+pub use backend::{Backend, Layout, Operand, PreparedOperand, Rhs};
 pub use gemm::par_map_indexed;
 pub use grad_accum::GradQuireBuf;
 pub use posit_gemm::{KStripMode, PositGemm, PositPlane};

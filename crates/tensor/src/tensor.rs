@@ -15,12 +15,16 @@ use std::fmt;
 /// accept either domain through [`crate::Operand`].
 ///
 /// ```
-/// use posit_tensor::Tensor;
+/// use posit_tensor::{Backend, Layout, Tensor};
 ///
 /// let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
 /// let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]);
 /// // [[1,2],[3,4]] · [[5,6],[7,8]] = [[19,22],[43,50]]
-/// assert_eq!(a.matmul(&b).data(), &[19.0, 22.0, 43.0, 50.0]);
+/// let mut c = vec![0.0; 4];
+/// Backend::F32
+///     .prepare_operand(a.operand())
+///     .gemm_with(Layout::AB, 2, 2, 2, b.operand(), &mut c);
+/// assert_eq!(c, [19.0, 22.0, 43.0, 50.0]);
 /// ```
 ///
 /// Packing to posit cuts the footprint by the word-size ratio:
@@ -35,45 +39,19 @@ use std::fmt;
 /// assert_eq!(p.nbytes(), 64); // 1 byte/elem
 /// assert_eq!(p.to_f32().data(), t.data()); // 0.5 is exact in (8,1)
 /// ```
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     storage: Storage,
     shape: Vec<usize>,
-    /// Content stamp (see [`Tensor::version`]).
-    version: u64,
-}
-
-/// Process-unique content stamps: every constructed tensor and every
-/// mutable-buffer borrow gets a fresh one, so two tensors only ever share a
-/// stamp through `clone()` — when their contents are identical.
-fn next_version() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-impl PartialEq for Tensor {
-    fn eq(&self, other: &Tensor) -> bool {
-        // The version stamp is bookkeeping, not content.
-        self.storage == other.storage && self.shape == other.shape
-    }
 }
 
 impl Tensor {
-    fn with_storage(storage: Storage, shape: Vec<usize>) -> Tensor {
-        Tensor {
-            storage,
-            shape,
-            version: next_version(),
-        }
-    }
-
     /// All zeros with the given shape.
     pub fn zeros(shape: &[usize]) -> Tensor {
-        Tensor::with_storage(
-            Storage::F32(vec![0.0; shape.iter().product()]),
-            shape.to_vec(),
-        )
+        Tensor {
+            storage: Storage::F32(vec![0.0; shape.iter().product()]),
+            shape: shape.to_vec(),
+        }
     }
 
     /// All ones with the given shape.
@@ -83,10 +61,10 @@ impl Tensor {
 
     /// Constant fill.
     pub fn full(shape: &[usize], value: f32) -> Tensor {
-        Tensor::with_storage(
-            Storage::F32(vec![value; shape.iter().product()]),
-            shape.to_vec(),
-        )
+        Tensor {
+            storage: Storage::F32(vec![value; shape.iter().product()]),
+            shape: shape.to_vec(),
+        }
     }
 
     /// Identity matrix of side `n`.
@@ -112,7 +90,10 @@ impl Tensor {
             data.len(),
             shape
         );
-        Tensor::with_storage(Storage::F32(data), shape.to_vec())
+        Tensor {
+            storage: Storage::F32(data),
+            shape: shape.to_vec(),
+        }
     }
 
     /// Wrap packed posit code words (the posit-domain twin of
@@ -153,14 +134,14 @@ impl Tensor {
             scale_exp.unsigned_abs() <= 1 << 20,
             "implausible scale exponent {scale_exp}"
         );
-        Tensor::with_storage(
-            Storage::Posit {
+        Tensor {
+            storage: Storage::Posit {
                 bits,
                 format,
                 scale_exp,
             },
-            shape.to_vec(),
-        )
+            shape: shape.to_vec(),
+        }
     }
 
     /// Uniform random values in `[lo, hi)`.
@@ -252,26 +233,12 @@ impl Tensor {
         }
     }
 
-    /// Content stamp of this tensor's buffer: a process-unique value
-    /// assigned at construction and refreshed on every [`Tensor::data_mut`]
-    /// borrow, so an unchanged stamp guarantees unchanged contents. Clones
-    /// share their source's stamp (their contents are identical) until
-    /// either side is mutably borrowed. This is what lets derived artifacts
-    /// — e.g. the decoded weight planes in [`crate::OperandCache`] — be
-    /// reused across calls and invalidated automatically when the optimizer
-    /// writes new weights.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Mutable view of the underlying f32 buffer. Refreshes the content
-    /// stamp (see [`Tensor::version`]): the borrow may write.
+    /// Mutable view of the underlying f32 buffer.
     ///
     /// # Panics
     ///
     /// Panics on a posit-domain tensor (see [`Tensor::data`]).
     pub fn data_mut(&mut self) -> &mut [f32] {
-        self.version = next_version();
         match &mut self.storage {
             Storage::F32(v) => v,
             Storage::Posit { format, .. } => {
@@ -346,14 +313,14 @@ impl Tensor {
         if posit_obs::enabled() {
             record_encode_edges(format, xs, inv, &bits);
         }
-        Tensor::with_storage(
-            Storage::Posit {
+        Tensor {
+            storage: Storage::Posit {
                 bits,
                 format,
                 scale_exp,
             },
-            self.shape.clone(),
-        )
+            shape: self.shape.clone(),
+        }
     }
 
     /// Decode into the f32 domain: `x[i] = posit(bits[i]) · 2^scale_exp`
@@ -370,7 +337,10 @@ impl Tensor {
             } => {
                 let sf = (*scale_exp as f32).exp2();
                 let data = bits.iter().map(|b| format.to_f32(b) * sf).collect();
-                Tensor::with_storage(Storage::F32(data), self.shape.clone())
+                Tensor {
+                    storage: Storage::F32(data),
+                    shape: self.shape.clone(),
+                }
             }
         }
     }
@@ -448,7 +418,7 @@ impl Tensor {
                 scale_exp: *scale_exp,
             },
         };
-        Tensor::with_storage(storage, shape)
+        Tensor { storage, shape }
     }
 
     /// Element at a 2-D position (row-major).
@@ -467,10 +437,10 @@ impl Tensor {
     ///
     /// Panics on a posit-domain tensor (see [`Tensor::data`]).
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor::with_storage(
-            Storage::F32(self.data().iter().map(|&x| f(x)).collect()),
-            self.shape.clone(),
-        )
+        Tensor {
+            storage: Storage::F32(self.data().iter().map(|&x| f(x)).collect()),
+            shape: self.shape.clone(),
+        }
     }
 
     /// Elementwise map in place.
@@ -491,16 +461,16 @@ impl Tensor {
     /// Panics on shape mismatch or posit-domain operands.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         assert_eq!(self.shape, other.shape, "zip shape mismatch");
-        Tensor::with_storage(
-            Storage::F32(
+        Tensor {
+            storage: Storage::F32(
                 self.data()
                     .iter()
                     .zip(other.data())
                     .map(|(&a, &b)| f(a, b))
                     .collect(),
             ),
-            self.shape.clone(),
-        )
+            shape: self.shape.clone(),
+        }
     }
 
     /// `self + other` elementwise.
@@ -580,39 +550,6 @@ impl Tensor {
                 for j in 0..n {
                     dst[j * m + i] = src[i * n + j];
                 }
-            }
-        }
-        out
-    }
-
-    /// Matrix product `self[M,K] × other[K,N]`, dispatching on storage
-    /// domain: two packed planes of the same posit format run on the
-    /// decode-once quire GEMM (exact accumulation, one rounding per output
-    /// element, nearest-even); any other combination runs on the blocked
-    /// parallel f32 kernel after decoding posit operands. The result is
-    /// always f32-domain.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both tensors are 2-D with compatible inner dims.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "matmul lhs not 2-D");
-        assert_eq!(other.shape.len(), 2, "matmul rhs not 2-D");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul inner dims {k} vs {k2}");
-        let mut out = Tensor::zeros(&[m, n]);
-        match (self.posit_bits(), other.posit_bits()) {
-            (Some((ab, af, ae)), Some((bb, bf, be))) if af == bf => {
-                let kernel = crate::posit_gemm::PositGemm::new(af, Rounding::NearestEven);
-                let pa = crate::posit_gemm::PositPlane::from_packed(af, ab, ae);
-                let pb = crate::posit_gemm::PositPlane::from_packed(bf, bb, be);
-                kernel.gemm(m, k, n, &pa, &pb, out.data_mut());
-            }
-            _ => {
-                let a = self.dense();
-                let b = other.dense();
-                crate::gemm::gemm(m, k, n, a.data(), b.data(), out.data_mut());
             }
         }
         out
@@ -732,14 +669,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_small() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-        let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]);
-        let c = a.matmul(&b);
-        assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
     fn transpose() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]);
         let t = a.transpose2();
@@ -784,20 +713,6 @@ mod tests {
         assert_eq!(a, b);
         let c = Tensor::rand_uniform(&[8], -1.0, 1.0, &mut r1);
         assert!(c.data().iter().all(|&x| (-1.0..1.0).contains(&x)));
-    }
-
-    #[test]
-    fn version_tracks_content_changes() {
-        let mut t = Tensor::zeros(&[4]);
-        let v0 = t.version();
-        let c = t.clone();
-        assert_eq!(c.version(), v0, "clone shares the stamp (same contents)");
-        t.data_mut()[0] = 1.0;
-        assert_ne!(t.version(), v0, "mutable borrow refreshes the stamp");
-        assert_eq!(c.version(), v0, "clone keeps its own stamp");
-        let u = Tensor::zeros(&[4]);
-        assert_ne!(u.version(), c.version(), "fresh tensors are unique");
-        assert_eq!(u, Tensor::zeros(&[4]), "stamp is not part of equality");
     }
 
     #[test]
@@ -880,25 +795,6 @@ mod tests {
     fn data_panics_on_posit_domain() {
         let p = Tensor::ones(&[2]).to_posit(PositFormat::of(8, 1), 0, Rounding::ToZero);
         let _ = p.data();
-    }
-
-    #[test]
-    fn matmul_dispatches_on_packed_planes() {
-        // Exact power-of-two data: the packed quire product must equal the
-        // f32 product bit-for-bit.
-        let fmt = PositFormat::of(16, 1);
-        let a = Tensor::from_vec(vec![1.0, 2.0, -0.5, 4.0, 0.25, -8.0], &[2, 3]);
-        let b = Tensor::from_vec(vec![2.0, 0.5, -1.0, 4.0, 0.125, -2.0], &[3, 2]);
-        let want = a.matmul(&b);
-        let pa = a.to_posit(fmt, 0, Rounding::NearestEven);
-        let pb = b.to_posit(fmt, 0, Rounding::NearestEven);
-        assert_eq!(pa.matmul(&pb), want, "posit × posit");
-        assert_eq!(pa.matmul(&b), want, "mixed decodes");
-        assert_eq!(a.matmul(&pb), want, "mixed decodes (rhs)");
-        // Scale exponents are honoured: operands carry 2^2 and 2^-1.
-        let pa2 = a.to_posit(fmt, 2, Rounding::NearestEven);
-        let pb2 = b.to_posit(fmt, -1, Rounding::NearestEven);
-        assert_eq!(pa2.matmul(&pb2), want, "scale-shifted planes");
     }
 
     #[test]

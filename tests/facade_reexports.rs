@@ -98,8 +98,16 @@ fn storage_reexports_construct() {
     let mut c = vec![0.0f32; 4];
     bk.prepare_operand(p.operand())
         .gemm_with(Layout::AB, 2, 2, 2, p.operand(), &mut c);
-    let want = t.matmul(&t);
-    assert_eq!(c, want.data(), "exact operands: packed quire == f32");
+    let mut want = vec![0.0f32; 4];
+    Backend::F32.prepare_operand(t.operand()).gemm_with(
+        Layout::AB,
+        2,
+        2,
+        2,
+        t.operand(),
+        &mut want,
+    );
+    assert_eq!(c, want, "exact operands: packed quire == f32");
     // Config validation re-exports.
     use posit_dnn::train::ConfigError;
     let mut bad = TrainConfig::cifar_scaled(4, 2);
