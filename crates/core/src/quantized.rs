@@ -8,7 +8,10 @@
 //!   quantized after;
 //! * **backward** (Fig. 3b): the returned error `E^{l-1}` and the
 //!   accumulated weight gradient `ΔW` are quantized after the inner
-//!   backward.
+//!   backward. A network's first layer has no `E` edge: nothing reads
+//!   `E^0`, so the trainer tells it to skip its input gradient
+//!   ([`Layer::set_needs_input_grad`]), and its error scale stays
+//!   uncalibrated (absent) in checkpoints.
 //!
 //! The wrapper has three [`Phase`]s driven by a shared [`QuantControl`]:
 //! FP32 (warm-up), Calibrate (FP32 + Eq. 2 scale-factor collection) and
@@ -419,7 +422,11 @@ impl Layer for Quantized {
                 }
                 // Fig. 3b: E^{l-1} → P(·) → E^{l-1}_p — a storage
                 // transition under the quire backend, like the forward
-                // activation edge.
+                // activation edge. A layer whose input error nobody reads
+                // has no E edge.
+                if g.is_empty() {
+                    return g;
+                }
                 let (sigma, scaling, rounding) = (self.sigma, self.scaling, self.rounding);
                 let e = self.e_scale.exp_or_lazy(g.data(), sigma, scaling);
                 let _edge = posit_obs::enabled()
@@ -446,6 +453,10 @@ impl Layer for Quantized {
 
     fn params(&self) -> Vec<&Param> {
         self.inner.params()
+    }
+
+    fn set_needs_input_grad(&mut self, needs: bool) {
+        self.inner.set_needs_input_grad(needs);
     }
 
     fn begin_grad_batch(&mut self, total_samples: usize) {

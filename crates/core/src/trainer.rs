@@ -6,7 +6,7 @@ use crate::quantized::{Phase, QuantBuilder, QuantControl};
 use crate::scale;
 use crate::stats::HistogramRecorder;
 use posit_data::{DataLoader, Dataset};
-use posit_models::{lenet, resnet_scaled, PlainBuilder};
+use posit_models::{lenet, resnet_scaled, LayerBuilder, PlainBuilder};
 use posit_nn::{checkpoint, metrics, Layer, Sequential, Sgd, SoftmaxCrossEntropy};
 use posit_store::{read_tensor, write_tensor, Store, StoreError};
 use posit_tensor::rng::{Prng, PrngState};
@@ -199,57 +199,47 @@ impl Trainer {
     /// Build the config's scaled ResNet, wrapped with the quantization
     /// policy if one is configured.
     pub fn resnet(config: &TrainConfig) -> Trainer {
-        let mut rng = Prng::seed(config.seed);
-        match &config.quant {
-            None => {
-                let mut b = PlainBuilder;
-                Trainer {
-                    net: resnet_scaled(&mut b, config.base_width, config.num_classes, &mut rng),
-                    control: None,
-                    input_q: InputQuantizer::new(),
-                }
-            }
-            Some(spec) => {
-                let mut qb = QuantBuilder::new(spec.clone());
-                let control = qb.control();
-                Trainer {
-                    net: resnet_scaled(&mut qb, config.base_width, config.num_classes, &mut rng),
-                    control: Some(control),
-                    input_q: InputQuantizer::new(),
-                }
-            }
-        }
+        Trainer::build(config, |b, rng| {
+            resnet_scaled(b, config.base_width, config.num_classes, rng)
+        })
     }
 
     /// Build the config's LeNet on `in_channels × side × side` inputs
     /// (`side >= 16`), wrapped with the quantization policy if one is
     /// configured. Unlike the ResNet it has no batch normalization.
     pub fn lenet(config: &TrainConfig, in_channels: usize, side: usize) -> Trainer {
+        Trainer::build(config, |b, rng| {
+            lenet(b, in_channels, side, config.num_classes, rng)
+        })
+    }
+
+    /// Build `model` from the config's seed with plain layers, or with
+    /// [`Quantized`](crate::quantized::Quantized) ones sharing one control
+    /// if a quantization policy is configured.
+    fn build(
+        config: &TrainConfig,
+        model: impl FnOnce(&mut dyn LayerBuilder, &mut Prng) -> Sequential,
+    ) -> Trainer {
         let mut rng = Prng::seed(config.seed);
         match &config.quant {
-            None => {
-                let mut b = PlainBuilder;
-                Trainer {
-                    net: lenet(&mut b, in_channels, side, config.num_classes, &mut rng),
-                    control: None,
-                    input_q: InputQuantizer::new(),
-                }
-            }
+            None => Trainer::from_net(model(&mut PlainBuilder, &mut rng), None),
             Some(spec) => {
                 let mut qb = QuantBuilder::new(spec.clone());
                 let control = qb.control();
-                Trainer {
-                    net: lenet(&mut qb, in_channels, side, config.num_classes, &mut rng),
-                    control: Some(control),
-                    input_q: InputQuantizer::new(),
-                }
+                Trainer::from_net(model(&mut qb, &mut rng), Some(control))
             }
         }
     }
 
     /// Wrap an externally built network (the control must be the one its
     /// quantized layers share, or `None` for FP32).
-    pub fn from_net(net: Sequential, control: Option<QuantControl>) -> Trainer {
+    ///
+    /// Nothing reads `E^0`, the error at the network input, so the net's
+    /// first layer is told to skip its input gradient
+    /// ([`Layer::set_needs_input_grad`]): `net.backward` returns
+    /// [`posit_nn::no_input_grad`]. It is set once, at build time.
+    pub fn from_net(mut net: Sequential, control: Option<QuantControl>) -> Trainer {
+        net.set_needs_input_grad(false);
         Trainer {
             net,
             control,
@@ -952,6 +942,31 @@ mod tests {
         assert_eq!(Trainer::phase_for_epoch(&cfg0, 0), Phase::Posit);
         let fp32 = TrainConfig::cifar_scaled(4, 10);
         assert_eq!(Trainer::phase_for_epoch(&fp32, 5), Phase::Fp32);
+    }
+
+    #[test]
+    fn built_nets_skip_the_network_input_error() {
+        // Nothing reads E^0: every constructor tells the net's first layer
+        // to skip its input gradient, so a backward through the whole net
+        // returns the documented empty tensor — plain and quantized,
+        // LeNet and ResNet.
+        let plain = TrainConfig::cifar_scaled(4, 1);
+        let quant = plain.clone().with_quant(QuantSpec::cifar_paper());
+        let mut rng = Prng::seed(5);
+        let trainers = [
+            (Trainer::lenet(&plain, 3, 16), 16),
+            (Trainer::lenet(&quant, 3, 16), 16),
+            (Trainer::resnet(&plain), 8),
+            (Trainer::resnet(&quant), 8),
+        ];
+        for (mut t, side) in trainers {
+            let x = Tensor::rand_normal(&[2, 3, side, side], 0.0, 1.0, &mut rng);
+            let y = t.net_mut().forward(&x, true);
+            let e0 = t.net_mut().backward(&Tensor::ones(y.shape()));
+            assert_eq!(e0.shape(), posit_nn::no_input_grad().shape());
+            // The first layer still gets its ΔW.
+            assert!(t.net().params()[0].grad.max_abs() > 0.0);
+        }
     }
 
     #[test]

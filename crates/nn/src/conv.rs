@@ -1,9 +1,9 @@
 //! 2-D convolution layer with explicit backward.
 
-use crate::layer::{Layer, LayerKind};
+use crate::layer::{no_input_grad, Layer, LayerKind};
 use crate::param::Param;
-use posit_tensor::conv::{col2im, conv2d_prepared, im2col, ConvGeom};
-use posit_tensor::{Backend, Layout, Operand, Tensor};
+use posit_tensor::conv::{col2im, conv2d_prepared, im2col, ColPlanes, ConvGeom};
+use posit_tensor::{Backend, Layout, Tensor};
 
 /// `Conv2d`: NCHW convolution, square kernel, no dilation/groups (all the
 /// paper's ResNets need). Bias is optional — ResNet convs are bias-free
@@ -17,6 +17,7 @@ pub struct Conv2d {
     cached_input: Option<Tensor>,
     fwd_backend: Backend,
     bwd_backend: Backend,
+    needs_input_grad: bool,
 }
 
 impl Conv2d {
@@ -39,6 +40,7 @@ impl Conv2d {
             cached_input: None,
             fwd_backend: Backend::F32,
             bwd_backend: Backend::F32,
+            needs_input_grad: true,
         }
     }
 
@@ -105,96 +107,94 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let bwd = self.bwd_backend;
+        let kernel = bwd.quire_kernel();
         // Quire backend: every per-sample product lands in the parameters'
         // exact accumulators, so ΔW and Δb round once per batch — here, at
         // the end of the call, if this backward is a batch of its own.
-        let own_batch = matches!(bwd, Backend::PositQuire { .. }) && !self.weight.batch.is_open();
+        let own_batch = kernel.is_some() && !self.weight.batch.is_open();
         if own_batch {
             self.begin_grad_batch(grad_out.shape()[0]);
         }
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward before forward")
-            .dense();
+        let input = self.cached_input.as_ref().expect("backward before forward");
         let ish = input.shape();
         let g = self.geom(ish);
-        let n = ish[0];
         let o = self.out_channels();
         let (rows, cols) = (g.col_rows(), g.col_cols());
         let sample_in = g.c * g.h * g.w;
-        let sample_out = o * cols;
 
-        // The im2col unfold and the per-sample slicing are defined on dense
-        // values: packed activations/errors decode once here, at the
-        // storage-domain boundary.
+        // Quire backend: the cached input is encoded once, under the
+        // backward format, and each sample's col plane is gathered from
+        // it. The f32 backend unfolds the dense input per sample.
+        let mut planes = kernel.map(|k| ColPlanes::new(&k, input, g));
+        let mut f32_unfold = planes
+            .is_none()
+            .then(|| (input.dense(), vec![0.0f32; rows * cols]));
+        // The per-sample slicing is defined on dense values: a packed error
+        // decodes once here.
         let grad_out = grad_out.dense();
-        let mut grad_in = Tensor::zeros(ish);
-        let mut col = vec![0.0f32; rows * cols];
-        let mut dcol = vec![0.0f32; rows * cols];
-        // weight as [O, rows]; grad_out sample as [O, cols]. The weight
-        // operand of the dX GEMM is prepared once per backward (decode-once
-        // from packed bits for the quire backend) and shared by every
-        // sample. The quire kernel still re-packs this plane into its A
-        // panel per sample — a known, bounded cost (O(O·rows) per
-        // O(rows·O·cols) GEMM, a few percent at the LeNet shapes) that
-        // batching the per-sample GEMMs would remove at the price of
-        // restructuring col2im.
-        let w_prep = bwd.prepare_operand(self.weight.value.operand());
-        for i in 0..n {
-            let dy = &grad_out.data()[i * sample_out..(i + 1) * sample_out];
+        // dX = col2im(Wᵀ · dY), only when something reads it. The weight
+        // operand is prepared once per backward and shared by every sample.
+        let mut grad_in = self.needs_input_grad.then(|| {
+            (
+                bwd.prepare_operand(self.weight.value.operand()),
+                vec![0.0f32; rows * cols],
+                Tensor::zeros(ish),
+            )
+        });
+        for (i, dy) in grad_out.data().chunks_exact(o * cols).enumerate() {
+            // One encode of dY per sample, shared by ΔW, Δb and dX.
+            let dy_prep = bwd.prepare(dy);
             // ΔW += dY · colᵀ  — [O, cols] × [cols, rows]
-            im2col(
-                &input.data()[i * sample_in..(i + 1) * sample_in],
-                &g,
-                &mut col,
-            );
-            let planes = bwd
-                .quire_operand_plane(Operand::F32(dy))
-                .zip(bwd.quire_operand_plane(Operand::F32(&col)));
-            if let Some((dy_plane, col_plane)) = planes {
-                // The encode of the dense dy/col slices is element-wise,
-                // hence identical whatever shard a sample lands in.
-                let margin = dy_plane.quire_margin() + col_plane.quire_margin();
-                self.weight
-                    .batch
-                    .acc(|total| {
-                        bwd.grad_quire_buf(o * rows, margin, total * cols)
-                            .expect("quire backend")
-                    })
-                    .accumulate_a_bt(o, cols, rows, &dy_plane, &col_plane);
-                if let Some(b) = &mut self.bias {
-                    b.batch
+            match (planes.as_mut(), dy_prep.quire()) {
+                (Some(planes), Some((_, dy_plane))) => {
+                    let col_plane = planes.sample(i);
+                    let margin = dy_plane.quire_margin() + col_plane.quire_margin();
+                    self.weight
+                        .batch
                         .acc(|total| {
-                            bwd.grad_quire_buf(o, dy_plane.quire_margin(), total * cols)
+                            bwd.grad_quire_buf(o * rows, margin, total * cols)
                                 .expect("quire backend")
                         })
-                        .accumulate_row_sums(o, cols, &dy_plane);
+                        .accumulate_a_bt(o, cols, rows, dy_plane, col_plane);
+                    if let Some(b) = &mut self.bias {
+                        b.batch
+                            .acc(|total| {
+                                bwd.grad_quire_buf(o, dy_plane.quire_margin(), total * cols)
+                                    .expect("quire backend")
+                            })
+                            .accumulate_row_sums(o, cols, dy_plane);
+                    }
                 }
-            } else {
-                bwd.prepare(dy).gemm_with(
-                    Layout::ABt,
-                    o,
-                    cols,
-                    rows,
-                    col.as_slice(),
-                    self.weight.grad.data_mut(),
-                );
-                if let Some(b) = &mut self.bias {
-                    for (oc, gb) in b.grad.data_mut().iter_mut().enumerate() {
-                        *gb += dy[oc * cols..(oc + 1) * cols].iter().sum::<f32>();
+                _ => {
+                    let (x, col) = f32_unfold.as_mut().expect("f32 backend");
+                    im2col(&x.data()[i * sample_in..(i + 1) * sample_in], &g, col);
+                    dy_prep.gemm_with(
+                        Layout::ABt,
+                        o,
+                        cols,
+                        rows,
+                        col.as_slice(),
+                        self.weight.grad.data_mut(),
+                    );
+                    if let Some(b) = &mut self.bias {
+                        for (oc, gb) in b.grad.data_mut().iter_mut().enumerate() {
+                            *gb += dy[oc * cols..(oc + 1) * cols].iter().sum::<f32>();
+                        }
                     }
                 }
             }
             // dX_col = Wᵀ · dY — [rows, O] × [O, cols]
-            dcol.fill(0.0);
-            w_prep.gemm_with(Layout::AtB, rows, o, cols, dy, &mut dcol);
-            col2im(
-                &dcol,
-                &g,
-                &mut grad_in.data_mut()[i * sample_in..(i + 1) * sample_in],
-            );
+            if let Some((w_prep, dcol, grad_in)) = &mut grad_in {
+                dcol.fill(0.0);
+                w_prep.gemm_with(Layout::AtB, rows, o, cols, &dy_prep, dcol);
+                col2im(
+                    dcol,
+                    &g,
+                    &mut grad_in.data_mut()[i * sample_in..(i + 1) * sample_in],
+                );
+            }
         }
+        let grad_in = grad_in.map_or_else(no_input_grad, |(_, _, grad_in)| grad_in);
         if own_batch {
             self.end_grad_batch();
         }
@@ -219,6 +219,10 @@ impl Layer for Conv2d {
 
     fn set_compute_backends(&mut self, forward: Backend, backward: Backend) {
         self.set_backends(forward, backward);
+    }
+
+    fn set_needs_input_grad(&mut self, needs: bool) {
+        self.needs_input_grad = needs;
     }
 }
 
@@ -458,6 +462,102 @@ mod tests {
             &[0.5, 2.0, -1.0, 0.25],
             "bwd sees the replacement"
         );
+    }
+
+    #[test]
+    fn encode_once_backward_matches_per_sample_encode() {
+        // The quire backward encodes the cached input once and gathers each
+        // sample's col plane; the reference unfolds each sample in f32 and
+        // encodes its col matrix and dY slice, as separate planes per
+        // sample. ΔW and Δb must agree bit for bit — for an f32 input and
+        // for a scale-shifted packed one (decoded, then re-rounded onto
+        // the backward grid).
+        use posit::{PositFormat, Rounding};
+        let fmt = PositFormat::of(8, 2);
+        let bwd = Backend::PositQuire {
+            fmt,
+            rounding: Rounding::NearestEven,
+        };
+        let kernel = bwd.quire_kernel().expect("quire backend");
+        let mut rng = Prng::seed(31);
+        let (n, c, o, k, stride, pad) = (3, 2, 3, 3, 2, 1);
+        let x = Tensor::rand_normal(&[n, c, 7, 7], 0.0, 1.5, &mut rng);
+        let weight = Tensor::rand_normal(&[o, c, k, k], 0.0, 0.4, &mut rng);
+        let bias = Tensor::rand_normal(&[o], 0.0, 0.1, &mut rng);
+        let fwd_fmt = PositFormat::of(8, 1);
+        for input in [x.clone(), x.to_posit(fwd_fmt, -2, Rounding::NearestEven)] {
+            let mut l = Conv2d::new("c", weight.clone(), Some(bias.clone()), stride, pad);
+            l.set_backends(Backend::F32, bwd);
+            let y = l.forward(&input, true);
+            let dy = Tensor::rand_normal(y.shape(), 0.0, 1.0, &mut rng);
+            l.backward(&dy);
+
+            let g = l.geom(input.shape());
+            let (rows, cols) = (g.col_rows(), g.col_cols());
+            let mut dw = bwd.grad_quire_buf(o * rows, 0, n * cols).unwrap();
+            let mut db = bwd.grad_quire_buf(o, 0, n * cols).unwrap();
+            let dense = input.dense();
+            let mut col = vec![0.0f32; rows * cols];
+            for i in 0..n {
+                let len = c * 7 * 7;
+                im2col(&dense.data()[i * len..(i + 1) * len], &g, &mut col);
+                let dy_plane = kernel.encode_plane(&dy.data()[i * o * cols..(i + 1) * o * cols]);
+                dw.accumulate_a_bt(o, cols, rows, &dy_plane, &kernel.encode_plane(&col));
+                db.accumulate_row_sums(o, cols, &dy_plane);
+            }
+            let mut want_w = vec![0.0f32; o * rows];
+            let mut want_b = vec![0.0f32; o];
+            dw.round_into(&mut want_w);
+            db.round_into(&mut want_b);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let packed = input.is_posit();
+            assert_eq!(
+                bits(l.params()[0].grad.data()),
+                bits(&want_w),
+                "ΔW packed {packed}"
+            );
+            assert_eq!(
+                bits(l.params()[1].grad.data()),
+                bits(&want_b),
+                "Δb packed {packed}"
+            );
+        }
+    }
+
+    #[test]
+    fn skipped_input_grad_keeps_param_grads() {
+        // With set_needs_input_grad(false) the backward skips dX and
+        // col2im and returns the documented empty tensor; ΔW and Δb are
+        // bit-identical to the flag-on run, on both backends.
+        let qui = Backend::PositQuire {
+            fmt: posit::PositFormat::of(8, 1),
+            rounding: posit::Rounding::NearestEven,
+        };
+        let mut rng = Prng::seed(37);
+        let input = Tensor::rand_normal(&[2, 2, 6, 6], 0.0, 1.0, &mut rng);
+        let weight = Tensor::rand_normal(&[3, 2, 3, 3], 0.0, 0.4, &mut rng);
+        let bias = Tensor::rand_normal(&[3], 0.0, 0.1, &mut rng);
+        let dy = Tensor::rand_normal(&[2, 3, 3, 3], 0.0, 1.0, &mut rng);
+        for bk in [Backend::F32, qui] {
+            let run = |needs: bool| {
+                let mut l = Conv2d::new("c", weight.clone(), Some(bias.clone()), 2, 1);
+                l.set_backends(bk, bk);
+                l.set_needs_input_grad(needs);
+                l.forward(&input, true);
+                let gx = l.backward(&dy);
+                let grads: Vec<Tensor> = l.params().iter().map(|p| p.grad.clone()).collect();
+                (gx, grads)
+            };
+            let (gx_on, on) = run(true);
+            let (gx_off, off) = run(false);
+            assert_eq!(gx_on.shape(), input.shape(), "{}", bk.name());
+            assert_eq!(gx_off.shape(), no_input_grad().shape(), "{}", bk.name());
+            assert!(gx_off.is_empty());
+            for (a, b) in on.iter().zip(&off) {
+                let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "{}", bk.name());
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,12 @@ pub enum LayerKind {
     Structural,
 }
 
+/// What [`Layer::backward`] returns when nothing reads its input gradient
+/// (see [`Layer::set_needs_input_grad`]): an empty tensor of shape `[0]`.
+pub fn no_input_grad() -> Tensor {
+    Tensor::zeros(&[0])
+}
+
 /// A layer in the Fig. 3 dataflow.
 ///
 /// * `forward`: `A^{l-1} → A^l`, caching whatever the backward needs;
@@ -40,8 +46,21 @@ pub trait Layer: Send {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Backward pass: consumes the output-side error `E^l` and returns the
-    /// input-side error `E^{l-1}`, accumulating parameter gradients.
+    /// input-side error `E^{l-1}`, accumulating parameter gradients. A
+    /// layer told that nothing reads `E^{l-1}`
+    /// ([`Layer::set_needs_input_grad`]`(false)`) may skip computing it and
+    /// return [`no_input_grad`] instead; its parameter gradients are the
+    /// same either way.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// Say whether anything reads the input-side error this layer's
+    /// backward returns. The trainer sets `false` on its network once, at
+    /// build time: nothing reads `E^0`, the error at the network input, so
+    /// the first layer skips its `dX` GEMM (and a conv its col2im).
+    /// [`crate::Conv2d`] and [`crate::Linear`] honour it, [`Sequential`]
+    /// forwards it to its first child only, and wrappers forward it to the
+    /// layer they wrap. Default: no-op (the error is always computed).
+    fn set_needs_input_grad(&mut self, _needs: bool) {}
 
     /// Mutable access to the learnable parameters (empty by default).
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -308,6 +327,14 @@ impl Layer for Sequential {
         g
     }
 
+    fn set_needs_input_grad(&mut self, needs: bool) {
+        // Only the first child's input is this container's input; every
+        // later child's input error feeds the child before it.
+        if let Some(first) = self.layers.first_mut() {
+            first.set_needs_input_grad(needs);
+        }
+    }
+
     fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
             .iter_mut()
@@ -506,6 +533,39 @@ mod tests {
         assert_eq!(y.data(), &[0.0, 2.0]);
         let g = seq.backward(&Tensor::ones(&[2]));
         assert_eq!(g.data(), &[0.0, 1.0]);
+    }
+
+    #[test]
+    fn sequential_skips_only_its_first_childs_input_grad() {
+        // Two linears: the first skips its dX, the second still returns
+        // one (the first child's ΔW reads it), so ΔW of both layers is the
+        // same as with the flag on.
+        use crate::Linear;
+        use posit_tensor::rng::Prng;
+        let mut rng = Prng::seed(3);
+        let w1 = Tensor::rand_normal(&[4, 3], 0.0, 0.5, &mut rng);
+        let w2 = Tensor::rand_normal(&[2, 4], 0.0, 0.5, &mut rng);
+        let x = Tensor::rand_normal(&[5, 3], 0.0, 1.0, &mut rng);
+        let dy = Tensor::rand_normal(&[5, 2], 0.0, 1.0, &mut rng);
+        let run = |needs: bool| {
+            let mut seq = Sequential::new("s")
+                .push(Linear::new("fc1", w1.clone(), None))
+                .push(Linear::new("fc2", w2.clone(), None));
+            seq.set_needs_input_grad(needs);
+            seq.forward(&x, true);
+            let gx = seq.backward(&dy);
+            let grads: Vec<Vec<f32>> = seq
+                .params()
+                .iter()
+                .map(|p| p.grad.data().to_vec())
+                .collect();
+            (gx, grads)
+        };
+        let (gx_on, on) = run(true);
+        let (gx_off, off) = run(false);
+        assert_eq!(gx_on.shape(), &[5, 3]);
+        assert_eq!(gx_off.shape(), no_input_grad().shape());
+        assert_eq!(on, off, "ΔW of both children");
     }
 
     #[test]

@@ -29,7 +29,7 @@ mod pool;
 
 pub use bn::BatchNorm2d;
 pub use conv::Conv2d;
-pub use layer::{Flatten, Layer, LayerKind, ReLU, Residual, Sequential};
+pub use layer::{no_input_grad, Flatten, Layer, LayerKind, ReLU, Residual, Sequential};
 pub use linear::Linear;
 pub use loss::SoftmaxCrossEntropy;
 pub use optim::{Sgd, StepLr};

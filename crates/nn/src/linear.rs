@@ -1,6 +1,6 @@
 //! Fully-connected layer with explicit backward.
 
-use crate::layer::{Layer, LayerKind};
+use crate::layer::{no_input_grad, Layer, LayerKind};
 use crate::param::Param;
 use posit_tensor::{Backend, Layout, Tensor};
 
@@ -12,6 +12,7 @@ pub struct Linear {
     cached_input: Option<Tensor>,
     fwd_backend: Backend,
     bwd_backend: Backend,
+    needs_input_grad: bool,
 }
 
 impl Linear {
@@ -26,6 +27,7 @@ impl Linear {
             cached_input: None,
             fwd_backend: Backend::F32,
             bwd_backend: Backend::F32,
+            needs_input_grad: true,
         }
     }
 
@@ -87,53 +89,44 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let bwd = self.bwd_backend;
+        // Quire backend: ΔW and Δb land in the parameters' exact
+        // accumulators and round once when the batch closes — here, at the
+        // end of the call, if this backward is a batch of its own.
+        let own_batch = bwd.quire_kernel().is_some() && !self.weight.batch.is_open();
+        if own_batch {
+            self.begin_grad_batch(grad_out.shape()[0]);
+        }
         let input = self.cached_input.as_ref().expect("backward before forward");
         let n = input.shape()[0];
         let (o, k) = (self.out_features(), self.in_features());
-        let bwd = self.bwd_backend;
-        let planes = bwd
-            .quire_operand_plane(grad_out.operand())
-            .zip(bwd.quire_operand_plane(input.operand()));
-        if let Some((dy, x)) = planes {
-            // Quire backend: ΔW and Δb land in the parameters' exact
-            // accumulators and round once when the batch closes — here,
-            // if this backward is a batch of its own. The margins come
-            // from the planes' scale shifts, which are the same for every
-            // row block of the batch (the input plane's scale exponent is
-            // frozen on the whole batch).
-            let own_batch = !self.weight.batch.is_open();
-            if own_batch {
-                self.begin_grad_batch(n);
-            }
-            let margin = dy.quire_margin() + x.quire_margin();
+        // One prepare (a decode-once plane on the quire backend) of dY,
+        // shared by ΔW, Δb and dX.
+        let dy = bwd.prepare_operand(grad_out.operand());
+        let x = bwd.prepare_operand(input.operand());
+        if let Some(((_, dy_plane), (_, x_plane))) = dy.quire().zip(x.quire()) {
+            // The margins come from the planes' scale shifts, which are
+            // the same for every row block of the batch (the input plane's
+            // scale exponent is frozen on the whole batch).
+            let margin = dy_plane.quire_margin() + x_plane.quire_margin();
             self.weight
                 .batch
                 .acc(|total| {
                     bwd.grad_quire_buf(o * k, margin, total)
                         .expect("quire backend")
                 })
-                .accumulate_at_b(o, n, k, &dy, &x);
+                .accumulate_at_b(o, n, k, dy_plane, x_plane);
             if let Some(b) = &mut self.bias {
                 b.batch
                     .acc(|total| {
-                        bwd.grad_quire_buf(o, dy.quire_margin(), total)
+                        bwd.grad_quire_buf(o, dy_plane.quire_margin(), total)
                             .expect("quire backend")
                     })
-                    .accumulate_col_sums(n, o, &dy);
-            }
-            if own_batch {
-                self.end_grad_batch();
+                    .accumulate_col_sums(n, o, dy_plane);
             }
         } else {
             // ΔW += dYᵀ · X — [o, n] × [n, k]
-            bwd.prepare_operand(grad_out.operand()).gemm_with(
-                Layout::AtB,
-                o,
-                n,
-                k,
-                input.operand(),
-                self.weight.grad.data_mut(),
-            );
+            dy.gemm_with(Layout::AtB, o, n, k, &x, self.weight.grad.data_mut());
             if let Some(b) = &mut self.bias {
                 let dy = grad_out.dense();
                 for i in 0..n {
@@ -143,11 +136,18 @@ impl Layer for Linear {
                 }
             }
         }
-        // dX = dY · W — [n, o] × [o, k]
-        let mut grad_in = Tensor::zeros(&[n, k]);
-        let dy = self.bwd_backend.prepare_operand(grad_out.operand());
-        let w = self.weight.value.operand();
-        dy.gemm_with(Layout::AB, n, o, k, w, grad_in.data_mut());
+        // dX = dY · W — [n, o] × [o, k], only when something reads it.
+        let grad_in = if self.needs_input_grad {
+            let mut grad_in = Tensor::zeros(&[n, k]);
+            let w = self.weight.value.operand();
+            dy.gemm_with(Layout::AB, n, o, k, w, grad_in.data_mut());
+            grad_in
+        } else {
+            no_input_grad()
+        };
+        if own_batch {
+            self.end_grad_batch();
+        }
         grad_in
     }
 
@@ -169,6 +169,10 @@ impl Layer for Linear {
 
     fn set_compute_backends(&mut self, forward: Backend, backward: Backend) {
         self.set_backends(forward, backward);
+    }
+
+    fn set_needs_input_grad(&mut self, needs: bool) {
+        self.needs_input_grad = needs;
     }
 }
 
@@ -348,6 +352,44 @@ mod tests {
             let num = (loss(&w0, &b0, &xp) - loss(&w0, &b0, &xm)) / (2.0 * eps as f64);
             let ana = grad_in.data()[idx] as f64;
             assert!((num - ana).abs() < 1e-2 * (1.0 + ana.abs()), "dX[{idx}]");
+        }
+    }
+
+    #[test]
+    fn skipped_input_grad_keeps_param_grads() {
+        // With set_needs_input_grad(false) the backward skips dX and
+        // returns the documented empty tensor; ΔW and Δb are bit-identical
+        // to the flag-on run, on both backends and for a packed input.
+        let fmt = posit::PositFormat::of(8, 1);
+        let qui = Backend::PositQuire {
+            fmt,
+            rounding: posit::Rounding::NearestEven,
+        };
+        let mut rng = Prng::seed(41);
+        let x = Tensor::rand_normal(&[5, 7], 0.0, 1.0, &mut rng);
+        let w = Tensor::rand_normal(&[3, 7], 0.0, 0.4, &mut rng);
+        let b = Tensor::rand_normal(&[3], 0.0, 0.1, &mut rng);
+        let dy = Tensor::rand_normal(&[5, 3], 0.0, 1.0, &mut rng);
+        let packed = x.to_posit(fmt, 1, posit::Rounding::NearestEven);
+        for (bk, input) in [(Backend::F32, &x), (qui, &x), (qui, &packed)] {
+            let run = |needs: bool| {
+                let mut l = Linear::new("fc", w.clone(), Some(b.clone()));
+                l.set_backends(bk, bk);
+                l.set_needs_input_grad(needs);
+                l.forward(input, true);
+                let gx = l.backward(&dy);
+                let grads: Vec<Tensor> = l.params().iter().map(|p| p.grad.clone()).collect();
+                (gx, grads)
+            };
+            let (gx_on, on) = run(true);
+            let (gx_off, off) = run(false);
+            assert_eq!(gx_on.shape(), &[5, 7], "{}", bk.name());
+            assert_eq!(gx_off.shape(), no_input_grad().shape(), "{}", bk.name());
+            assert!(gx_off.is_empty());
+            for (a, b) in on.iter().zip(&off) {
+                let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "{}", bk.name());
+            }
         }
     }
 }

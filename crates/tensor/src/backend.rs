@@ -156,29 +156,22 @@ impl Backend {
     /// packed posit operand matching a [`Backend::PositQuire`] format is
     /// decoded once from its code words with no f32 staging.
     pub fn prepare_operand<'a>(&self, op: Operand<'a>) -> PreparedOperand<'a> {
-        let inner = match self {
-            Backend::F32 => Prepared::F32(op.to_f32_vec()),
-            Backend::PositQuire { fmt, rounding } => {
-                let kernel = PositGemm::new(*fmt, *rounding);
-                let plane = quire_plane(&kernel, op);
-                Prepared::Quire { kernel, plane }
-            }
+        let inner = match self.quire_kernel() {
+            None => Prepared::F32(op.to_f32_vec()),
+            Some(kernel) => Prepared::Quire {
+                plane: quire_plane(&kernel, op),
+                kernel,
+            },
         };
         PreparedOperand { inner }
     }
 
-    /// For [`Backend::PositQuire`]: the decode-once operand plane this
-    /// backend's GEMMs would build for `op` (packed fast path included);
-    /// `None` for the f32 backend. This is the operand entry point of the
-    /// exact gradient buffers ([`crate::GradQuireBuf`]), which must see
-    /// byte-identical planes to the kernels for the 1-shard ≡ serial
-    /// guarantee to hold.
-    pub fn quire_operand_plane(&self, op: Operand<'_>) -> Option<PositPlane> {
+    /// For [`Backend::PositQuire`]: the kernel its GEMMs run on (the
+    /// encoder of raw operands, e.g. a conv batch encoded once for its
+    /// unfold, see [`crate::conv::ColPlanes`]); `None` for the f32 backend.
+    pub fn quire_kernel(&self) -> Option<PositGemm> {
         match self {
-            Backend::PositQuire { fmt, rounding } => {
-                let kernel = PositGemm::new(*fmt, *rounding);
-                Some(quire_plane(&kernel, op))
-            }
+            Backend::PositQuire { fmt, rounding } => Some(PositGemm::new(*fmt, *rounding)),
             Backend::F32 => None,
         }
     }
@@ -259,6 +252,17 @@ enum Prepared<'a> {
 }
 
 impl PreparedOperand<'_> {
+    /// For an operand prepared under [`Backend::PositQuire`]: its kernel
+    /// and decode-once plane; `None` under the f32 backend. The plane is
+    /// the one this operand's GEMMs consume, so the exact gradient buffers
+    /// ([`crate::GradQuireBuf`]) fed from it see byte-identical operands.
+    pub fn quire(&self) -> Option<(&PositGemm, &PositPlane)> {
+        match &self.inner {
+            Prepared::Quire { kernel, plane } => Some((kernel, plane)),
+            Prepared::F32(_) => None,
+        }
+    }
+
     /// `c += op(self) · op(b)` under the backend `self` was prepared with,
     /// `layout` saying which side is stored transposed. A raw `b` is
     /// prepared under `self`'s kernel first (a free borrow for f32 data on
@@ -510,10 +514,11 @@ mod tests {
         // (16,1) posit, 1 + 2^-12: nearest-even stores 1.0, where an
         // un-degraded stochastic rounding (zero random word) rounds up.
         let x = [1.0f32, (-7f32).exp2()];
-        let plane = bk.quire_operand_plane(Operand::F32(&x)).unwrap();
+        let prepared = bk.prepare(&x);
+        let (_, plane) = prepared.quire().expect("quire backend");
         let margin = 2 * plane.quire_margin();
         let mut buf = bk.grad_quire_buf(1, margin, 2).expect("quire backend");
-        buf.accumulate_at_b(1, 2, 1, &plane, &plane);
+        buf.accumulate_at_b(1, 2, 1, plane, plane);
         let mut dw = [0.0f32];
         buf.round_into(&mut dw);
         assert_eq!(dw, [1.0], "grad buffer rounds to nearest-even");

@@ -1,5 +1,6 @@
 //! im2col/col2im convolution primitives (NCHW layout).
 
+use crate::posit_gemm::{PositGemm, PositPlane, Unpacked};
 use crate::tensor::Tensor;
 
 /// Geometry of a 2-D convolution.
@@ -44,7 +45,11 @@ impl ConvGeom {
 }
 
 /// Unfold one `[C,H,W]` sample into the `[C*KH*KW, OH*OW]` column matrix.
-pub fn im2col(input: &[f32], g: &ConvGeom, col: &mut [f32]) {
+///
+/// The unfold is a gather, so it is generic over the element: dense f32
+/// values, or the decoded [`Unpacked`] elements of an encoded plane (see
+/// [`ColPlanes`]). Padding reads `T::default()`: `0.0`, or the posit zero.
+pub fn im2col<T: Copy + Default>(input: &[T], g: &ConvGeom, col: &mut [T]) {
     debug_assert_eq!(input.len(), g.c * g.h * g.w);
     debug_assert_eq!(col.len(), g.col_rows() * g.col_cols());
     let (oh, ow) = (g.out_h(), g.out_w());
@@ -59,14 +64,14 @@ pub fn im2col(input: &[f32], g: &ConvGeom, col: &mut [f32]) {
                     let iy = (oy * g.stride + ki) as isize - g.pad as isize;
                     let base = oy * ow;
                     if iy < 0 || iy >= g.h as isize {
-                        dst[base..base + ow].fill(0.0);
+                        dst[base..base + ow].fill(T::default());
                         continue;
                     }
                     let src_row = &plane[iy as usize * g.w..(iy as usize + 1) * g.w];
                     for ox in 0..ow {
                         let ix = (ox * g.stride + kj) as isize - g.pad as isize;
                         dst[base + ox] = if ix < 0 || ix >= g.w as isize {
-                            0.0
+                            T::default()
                         } else {
                             src_row[ix as usize]
                         };
@@ -108,6 +113,44 @@ pub fn col2im(col: &[f32], g: &ConvGeom, output: &mut [f32]) {
     }
 }
 
+/// The per-sample im2col planes of one `[N,C,H,W]` batch on the quire
+/// backend, gathered from a single encode of the batch.
+///
+/// Each input element is rounded onto the kernel's grid once, not once per
+/// kernel tap (the col matrix repeats it up to `KH·KW` times), and each
+/// sample's `[C*KH*KW, OH*OW]` plane is an [`im2col`] gather of encoded
+/// elements into one reused buffer. The encode is element-wise and maps
+/// `0.0` to the posit zero, so every plane is bit-identical to encoding
+/// that sample's f32 im2col matrix.
+pub struct ColPlanes {
+    input: PositPlane,
+    col: PositPlane,
+    g: ConvGeom,
+}
+
+impl ColPlanes {
+    /// Encode `input` (`[N,C,H,W]` with `C,H,W` from `g`) under `kernel`.
+    /// A packed input decodes to f32 first, so values are re-rounded onto
+    /// the kernel's unshifted grid exactly as an f32 unfold would be.
+    pub fn new(kernel: &PositGemm, input: &Tensor, g: ConvGeom) -> ColPlanes {
+        let input = kernel.encode_plane(input.dense().data());
+        let col = vec![Unpacked::default(); g.col_rows() * g.col_cols()];
+        ColPlanes {
+            col: PositPlane::from_elems(input.format(), input.scale_exp(), col),
+            input,
+            g,
+        }
+    }
+
+    /// Sample `i`'s col plane (valid until the next call).
+    pub fn sample(&mut self, i: usize) -> &PositPlane {
+        let len = self.g.c * self.g.h * self.g.w;
+        let src = &self.input.elems()[i * len..(i + 1) * len];
+        im2col(src, &self.g, self.col.elems_mut());
+        &self.col
+    }
+}
+
 /// Forward convolution on the f32 backend: input `[N,C,H,W]`, weight
 /// `[O,C,KH,KW]`, optional bias `[O]` → output `[N,O,OH,OW]`.
 ///
@@ -132,9 +175,10 @@ pub fn conv2d(
 /// The weight tile is prepared once by the caller and reused across every
 /// sample in the batch: a posit-packed weight tensor matching a
 /// [`crate::Backend::PositQuire`] format is decoded into a plane straight
-/// from its code words (no f32 staging). A posit-packed *input* is decoded
-/// once at the im2col unfold (the unfold is a gather, defined on dense
-/// values).
+/// from its code words (no f32 staging). On the quire backend the input
+/// batch is encoded once under the weight's kernel and each sample's col
+/// plane is gathered from it ([`ColPlanes`]), so the GEMM never sees f32;
+/// on the f32 backend a packed input decodes once before the unfold.
 ///
 /// # Panics
 ///
@@ -161,32 +205,28 @@ pub fn conv2d_prepared(
         stride,
         pad,
     };
-    let (oh, ow) = (g.out_h(), g.out_w());
-    let mut out = Tensor::zeros(&[n, o, oh, ow]);
-    let mut col = vec![0.0f32; g.col_rows() * g.col_cols()];
-    let sample = g.c * g.h * g.w;
-    let out_sample = o * oh * ow;
-    // Decode a packed input once for the unfold (the unfold is a gather,
-    // defined on dense values).
-    let input = input.dense();
-    let out_data = out.data_mut();
-    for i in 0..n {
-        im2col(&input.data()[i * sample..(i + 1) * sample], &g, &mut col);
-        let dst = &mut out_data[i * out_sample..(i + 1) * out_sample];
-        w_prep.gemm_with(
-            crate::Layout::AB,
-            o,
-            g.col_rows(),
-            g.col_cols(),
-            col.as_slice(),
-            dst,
-        );
-        if let Some(b) = bias {
-            for (oc, &bv) in b.iter().enumerate() {
-                for v in &mut dst[oc * oh * ow..(oc + 1) * oh * ow] {
-                    *v += bv;
-                }
-            }
+    let (rows, cols) = (g.col_rows(), g.col_cols());
+    let mut out = Tensor::zeros(&[n, o, g.out_h(), g.out_w()]);
+    let samples = out.data_mut().chunks_exact_mut(o * cols);
+    if let Some((kernel, w_plane)) = w_prep.quire() {
+        let mut planes = ColPlanes::new(kernel, input, g);
+        for (i, dst) in samples.enumerate() {
+            kernel.gemm(o, rows, cols, w_plane, planes.sample(i), dst);
+        }
+    } else {
+        let sample = g.c * g.h * g.w;
+        let input = input.dense();
+        let mut col = vec![0.0f32; rows * cols];
+        for (x, dst) in input.data().chunks_exact(sample).zip(samples) {
+            im2col(x, &g, &mut col);
+            w_prep.gemm_with(crate::Layout::AB, o, rows, cols, col.as_slice(), dst);
+        }
+    }
+    if let Some(b) = bias {
+        // One `[OH*OW]` plane per (sample, channel).
+        for (j, plane) in out.data_mut().chunks_exact_mut(cols).enumerate() {
+            let bv = b[j % o];
+            plane.iter_mut().for_each(|v| *v += bv);
         }
     }
     out
@@ -332,6 +372,69 @@ mod tests {
         let w_prep = backend.prepare_operand(weight.operand());
         let got = conv2d_prepared(&w_prep, weight.shape(), &input, None, 1, 1);
         assert_eq!(got.data(), want.data());
+    }
+
+    #[test]
+    fn encode_once_forward_matches_per_sample_encode() {
+        // The quire forward encodes the batch once and gathers col planes;
+        // the reference unfolds each sample in f32 and encodes its col
+        // matrix. Bit for bit, for f32 inputs (NaN and −0.0 included), a
+        // packed input on the kernel's own grid, and a scale-shifted
+        // packed one (decoded, then re-rounded onto the unshifted grid).
+        use posit::{PositFormat, Rounding};
+        let fmt = PositFormat::of(8, 1);
+        let mut rng = Prng::seed(13);
+        let (n, c, o, k) = (3, 2, 4, 3);
+        let mut x = Tensor::rand_normal(&[n, c, 7, 6], 0.0, 2.0, &mut rng);
+        x.data_mut()[4] = f32::NAN;
+        x.data_mut()[9] = -0.0;
+        let weight = Tensor::rand_normal(&[o, c, k, k], 0.0, 0.5, &mut rng);
+        let bias: Vec<f32> = (0..o).map(|_| rng.uniform(-0.5, 0.5)).collect();
+        let inputs = [
+            x.clone(),
+            x.to_posit(fmt, 0, Rounding::NearestEven),
+            x.to_posit(fmt, 3, Rounding::NearestEven),
+        ];
+        for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+            let backend = crate::Backend::PositQuire { fmt, rounding };
+            let w_prep = backend.prepare_operand(weight.operand());
+            let (kernel, w_plane) = w_prep.quire().expect("quire backend");
+            for input in &inputs {
+                for (stride, pad) in [(1, 0), (2, 1)] {
+                    let got =
+                        conv2d_prepared(&w_prep, weight.shape(), input, Some(&bias), stride, pad);
+                    let g = ConvGeom {
+                        c,
+                        h: 7,
+                        w: 6,
+                        kh: k,
+                        kw: k,
+                        stride,
+                        pad,
+                    };
+                    let (rows, cols) = (g.col_rows(), g.col_cols());
+                    let dense = input.dense();
+                    let mut col = vec![0.0f32; rows * cols];
+                    let mut want = vec![0.0f32; n * o * cols];
+                    for i in 0..n {
+                        let len = c * 7 * 6;
+                        im2col(&dense.data()[i * len..(i + 1) * len], &g, &mut col);
+                        let dst = &mut want[i * o * cols..(i + 1) * o * cols];
+                        kernel.gemm(o, rows, cols, w_plane, &kernel.encode_plane(&col), dst);
+                        for (j, v) in dst.iter_mut().enumerate() {
+                            *v += bias[j / cols];
+                        }
+                    }
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(got.data()),
+                        bits(&want),
+                        "{rounding:?} stride {stride} pad {pad} packed {}",
+                        input.is_posit()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

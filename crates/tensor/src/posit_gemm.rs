@@ -146,6 +146,14 @@ const ZERO_ELEM: Unpacked = Unpacked {
     _pad2: 0,
 };
 
+/// The posit zero: the padding of a gathered conv unfold (see
+/// [`crate::conv::im2col`]).
+impl Default for Unpacked {
+    fn default() -> Unpacked {
+        ZERO_ELEM
+    }
+}
+
 impl Unpacked {
     /// The multiplicative identity in element form — the `y` operand that
     /// turns a multiply-accumulate into a plain accumulate (`x · 1`), used
@@ -361,6 +369,16 @@ impl PositPlane {
         }
     }
 
+    /// A plane over already-decoded elements (e.g. a gather of another
+    /// plane's elements), carrying that plane's format and scale shift.
+    pub(crate) fn from_elems(fmt: PositFormat, scale_exp: i32, elems: Vec<Unpacked>) -> PositPlane {
+        PositPlane {
+            fmt,
+            scale_exp,
+            elems,
+        }
+    }
+
     /// Quantize f32 data to the format under `rounding`, then decode once.
     ///
     /// This is the `P(·)` edge of the paper's Fig. 3 fused with the operand
@@ -399,6 +417,11 @@ impl PositPlane {
     /// The unpacked elements (row-major, caller-defined shape).
     pub fn elems(&self) -> &[Unpacked] {
         &self.elems
+    }
+
+    /// Mutable elements, for an in-place gather into a reused plane.
+    pub(crate) fn elems_mut(&mut self) -> &mut [Unpacked] {
+        &mut self.elems
     }
 
     /// Render back to f32 (each element is an exactly representable posit).

@@ -465,3 +465,108 @@ fn kstrip_multi_strip_shapes_agree() {
         assert_eq!(c_off, c_force, "{m}x{k}x{n}");
     }
 }
+
+/// The quire conv forward against the exact rational reference: a sampled
+/// posit(8,1) convolution over off-grid f32 inputs (each rounded once onto
+/// the grid, under the kernel's mode), with NaN and −0.0 elements, at
+/// stride 2 with one ring of zero padding. Every output must be the exact
+/// sum of its receptive field's products, rounded once — whatever path
+/// gathers the encoded elements into col planes.
+#[test]
+fn sampled_p8_conv_matches_exact_rationals() {
+    use posit_tensor::conv::conv2d_prepared;
+    use posit_tensor::{Backend, Tensor};
+
+    let fmt = PositFormat::of(8, 1);
+    let rounder = RefRounder::new(fmt);
+    let (n, c, h, w, o, kk, stride, pad) = (2, 2, 7, 6, 3, 3, 2, 1);
+    let (oh, ow) = (
+        (h + 2 * pad - kk) / stride + 1,
+        (w + 2 * pad - kk) / stride + 1,
+    );
+    let mut state = 0x0C0F_FEE5_C0DE_5EEDu64;
+    // Off-grid inputs: a full 24-bit mantissa over |x| in [2^-8, 2^8).
+    let mut x: Vec<f32> = (0..n * c * h * w)
+        .map(|_| {
+            let r = lcg(&mut state);
+            let mag =
+                (1.0 + (r >> 40) as f32 / (1u64 << 24) as f32) * ((r % 16) as f32 - 8.0).exp2();
+            if r & (1 << 20) != 0 {
+                -mag
+            } else {
+                mag
+            }
+        })
+        .collect();
+    x[5] = f32::NAN;
+    x[17] = -0.0;
+    x[n * c * h * w - 3] = -0.0;
+    // Weights on the grid: random finite code words.
+    let w_codes: Vec<u64> = (0..o * c * kk * kk)
+        .map(|_| loop {
+            let code = lcg(&mut state) >> 56 & fmt.mask();
+            if code != fmt.nar_bits() {
+                break code;
+            }
+        })
+        .collect();
+    let wv: Vec<f32> = w_codes.iter().map(|&b| fmt.to_f32(b)).collect();
+    let input = Tensor::from_vec(x.clone(), &[n, c, h, w]);
+    for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+        let backend = Backend::PositQuire { fmt, rounding };
+        let got = conv2d_prepared(
+            &backend.prepare(&wv),
+            &[o, c, kk, kk],
+            &input,
+            None,
+            stride,
+            pad,
+        );
+        assert_eq!(got.shape(), &[n, o, oh, ow]);
+        // Each input rounded once onto the grid (NaN is NaR).
+        let x_ref: Vec<Option<Rational>> = x
+            .iter()
+            .map(|&v| {
+                (!v.is_nan()).then(|| {
+                    let code = round_ref(&rounder, &Rational::from_f64_exact(v as f64), rounding);
+                    exact(fmt, code)
+                })
+            })
+            .collect();
+        for i in 0..n {
+            for oc in 0..o {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut sum = Some(Rational::ZERO);
+                        for ic in 0..c {
+                            for ki in 0..kk {
+                                for kj in 0..kk {
+                                    let iy = (oy * stride + ki) as isize - pad as isize;
+                                    let ix = (ox * stride + kj) as isize - pad as isize;
+                                    if iy < 0 || ix < 0 || iy >= h as isize || ix >= w as isize {
+                                        continue; // padding: the posit zero
+                                    }
+                                    let xi = ((i * c + ic) * h + iy as usize) * w + ix as usize;
+                                    let wi = ((oc * c + ic) * kk + ki) * kk + kj;
+                                    let wr = exact(fmt, w_codes[wi]);
+                                    sum = sum
+                                        .zip(x_ref[xi].as_ref())
+                                        .map(|(s, xr)| s.add(&wr.mul(xr)));
+                                }
+                            }
+                        }
+                        let g = got.data()[((i * o + oc) * oh + oy) * ow + ox];
+                        let at = format!("{rounding:?} ({i},{oc},{oy},{ox})");
+                        match sum {
+                            None => assert!(g.is_nan(), "{at}: NaR field gave {g}"),
+                            Some(s) => {
+                                let want = fmt.to_f32(round_ref(&rounder, &s, rounding));
+                                assert_eq!(g.to_bits(), want.to_bits(), "{at}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -11,7 +11,7 @@
 //! exactly once, before any pool touch.
 
 use posit::{PositFormat, Rounding};
-use posit_tensor::{gemm, par_map_indexed, serial_scope, Backend, Operand, PositGemm};
+use posit_tensor::{gemm, par_map_indexed, serial_scope, Backend, PositGemm};
 
 #[test]
 fn pooled_kernels_match_serial_bit_for_bit() {
@@ -119,8 +119,9 @@ fn pooled_kernels_match_serial_bit_for_bit() {
     let xs: Vec<f32> = (0..batch * kin)
         .map(|i| ((i * 11 % 13) as f32 - 6.0) * 0.25)
         .collect();
-    let dyp = bwd.quire_operand_plane(Operand::F32(&dy)).unwrap();
-    let xp = bwd.quire_operand_plane(Operand::F32(&xs)).unwrap();
+    let bwd_kernel = bwd.quire_kernel().unwrap();
+    let dyp = bwd_kernel.encode_plane(&dy);
+    let xp = bwd_kernel.encode_plane(&xs);
     let margin = dyp.quire_margin() + xp.quire_margin();
     let mut serial_buf = bwd.grad_quire_buf(o * kin, margin, batch).unwrap();
     serial_buf.accumulate_at_b(o, batch, kin, &dyp, &xp);
@@ -131,12 +132,8 @@ fn pooled_kernels_match_serial_bit_for_bit() {
         let mut start = 0usize;
         for &rows in &splits {
             let end = start + rows;
-            let dys = bwd
-                .quire_operand_plane(Operand::F32(&dy[start * o..end * o]))
-                .unwrap();
-            let xss = bwd
-                .quire_operand_plane(Operand::F32(&xs[start * kin..end * kin]))
-                .unwrap();
+            let dys = bwd_kernel.encode_plane(&dy[start * o..end * o]);
+            let xss = bwd_kernel.encode_plane(&xs[start * kin..end * kin]);
             total.accumulate_at_b(o, rows, kin, &dys, &xss);
             start = end;
         }
