@@ -8,8 +8,10 @@
 //! * `posit-quire-preplaned` reuses decoded planes across iterations (what
 //!   a weight-stationary kernel would pay — the decode-once upside, which
 //!   the `nn` layers do not take: their weights change every step);
-//! * `posit-quire-widequire` is preplaned with the narrow i128 fast path
-//!   disabled — the gap to `preplaned` is the narrow-accumulator win;
+//! * `posit-quire-swar` is preplaned from scale-shifted packed code words
+//!   (the SWAR lane decode, nonzero Eq. 2 exponents on both operands);
+//! * `posit-quire-widequire` is preplaned with the fixed-point integer
+//!   loops disabled — the gap to `preplaned` is the integer-kernel win;
 //! * `posit-quire-serial` is preplaned inside a `serial_scope` — the gap
 //!   to `preplaned` is the worker-pool win (zero on single-core boxes,
 //!   where the pool never dispatches).
@@ -23,7 +25,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use posit::{PositFormat, Rounding};
 use posit_models::{lenet_gemm_shapes, mlp_gemm_shapes, GemmShape};
 use posit_tensor::rng::Prng;
-use posit_tensor::{serial_scope, Backend, KStripMode, Layout, PositGemm, PositPlane};
+use posit_tensor::{serial_scope, Backend, Layout, PackedBits, PositGemm, PositPlane};
 use std::hint::black_box;
 
 fn bench_shapes() -> Vec<GemmShape> {
@@ -69,19 +71,30 @@ fn bench_backends(c: &mut Criterion) {
                 out
             })
         });
-        // K-strip batched micro-kernel pinned on: preplaned with
-        // `KStripMode::Force`, so the row tracks the batched kernel even
-        // at depths where the Auto heuristic would stay scalar
-        // (bit-identical results either way).
-        let swar = kernel.kstrip(KStripMode::Force);
+        // Scale-shifted packed operands: preplaned planes decoded by the
+        // SWAR lane gather from packed code words with nonzero Eq. 2
+        // exponents (the posit-resident weight path). The shifts fold
+        // into the output's fixed point, so the gap to `preplaned` should
+        // be noise.
+        let packed = |xs: &[f32]| {
+            let mut p = PackedBits::for_format(fmt, xs.len());
+            for &x in xs {
+                p.push(fmt.from_f32(x, rounding));
+            }
+            p
+        };
+        let (sa, sb) = (
+            PositPlane::from_packed(fmt, &packed(&a), 3),
+            PositPlane::from_packed(fmt, &packed(&b), -2),
+        );
         g.bench_function("posit-quire-swar", |bch| {
             bch.iter(|| {
                 let mut out = vec![0.0f32; m * n];
-                swar.gemm(m, k, n, black_box(&pa), black_box(&pb), &mut out);
+                kernel.gemm(m, k, n, black_box(&sa), black_box(&sb), &mut out);
                 out
             })
         });
-        // Narrow accumulator off: the same preplaned GEMM forced onto the
+        // Integer loops off: the same preplaned GEMM forced onto the
         // heap-allocated wide quire (bit-identical results, slower path).
         let wide = kernel.wide_accumulator(true);
         g.bench_function("posit-quire-widequire", |bch| {

@@ -300,9 +300,73 @@ pub fn decode_lut2(fmt: PositFormat) -> Option<&'static Lut2> {
     Some(LUT2[ni][ei].get_or_init(|| Box::new(Lut2::build(fmt))))
 }
 
+// ----------------------------------------------------------------------
+// Fixed-point words (the integer operands of the exact dot kernels)
+// ----------------------------------------------------------------------
+
+/// The fixed-point word of a decoded posit: `value / 2^min_scale` as a
+/// signed integer, or `None` for NaR and for formats whose words do not
+/// fit an `i64`.
+///
+/// The division is exact: no posit's least significant bit weighs less
+/// than `2^min_scale` (the regime eats fraction bits toward the extreme
+/// scales), so the word is an integer. Its magnitude is at most
+/// `maxpos / minpos = 2^(2·max_scale)`, which fits an `i64` exactly when
+/// `2·max_scale ≤ 62` — posit(8, es ≤ 2) and posit(16, es ≤ 1), but not
+/// posit(16,2). The product of two words is then the product of the two
+/// values in units of `2^(2·min_scale)`, which is what lets a dot kernel
+/// sum plain integer products and round once.
+pub fn fixed_word(fmt: PositFormat, v: PositValue) -> Option<i64> {
+    if 2 * fmt.max_scale() > 62 {
+        return None;
+    }
+    match v {
+        PositValue::NaR => None,
+        PositValue::Zero => Some(0),
+        PositValue::Finite(d) => {
+            // value = sig · 2^(scale − 63), so word = sig >> (63 − (scale −
+            // min_scale)): a right shift of 1..=63 that drops only zeros.
+            let w = (d.significand() >> (63 - (d.scale - fmt.min_scale()))) as i64;
+            Some(if d.sign.is_negative() { -w } else { w })
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fixed_words_match_decode_for_every_training_format() {
+        // Every byte of every 8-bit training format, NaR and zero
+        // included: the word times 2^min_scale is the decoded value
+        // (exact in f64 — at most 5 significant bits below 2^48).
+        for es in 0..=2 {
+            let fmt = PositFormat::of(8, es);
+            for b in 0..256u64 {
+                let w = fixed_word(fmt, fmt.decode(b));
+                match fmt.decode(b) {
+                    PositValue::NaR => assert_eq!(w, None, "(8,{es}) NaR"),
+                    PositValue::Zero => assert_eq!(w, Some(0), "(8,{es}) zero"),
+                    PositValue::Finite(_) => {
+                        let w = w.expect("(8, es ≤ 2) words fit an i64");
+                        assert!(w != 0 && w.unsigned_abs() <= 1 << (2 * fmt.max_scale()));
+                        let v = w as f64 * (fmt.min_scale() as f64).exp2();
+                        assert_eq!(v, fmt.to_f64(b), "(8,{es}) code {b:#x}");
+                    }
+                }
+            }
+        }
+        // Words too wide for an i64: (8,3) and (16,2) have 2·max_scale = 96.
+        assert!(fixed_word(PositFormat::of(8, 3), PositValue::Zero).is_none());
+        assert!(fixed_word(PositFormat::of(16, 2), PositValue::Zero).is_none());
+        let p16 = PositFormat::of(16, 1);
+        assert_eq!(
+            fixed_word(p16, p16.decode(p16.maxpos_bits())),
+            Some(1 << 56)
+        );
+        assert_eq!(fixed_word(p16, p16.decode(1)), Some(1), "minpos is word 1");
+    }
 
     #[test]
     fn decode_lut_matches_decode_for_every_narrow_format() {

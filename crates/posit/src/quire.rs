@@ -2,9 +2,12 @@
 //!
 //! A quire wide enough to hold any sum of posit products without rounding
 //! enables *exact multiply-and-accumulate* (the EMAC of Deep Positron \[12\] in
-//! the paper's related work). The training simulation in `posit-train` uses
-//! FP32 accumulation like the paper, but the quire validates the hardware
-//! MAC and quantifies accumulation error in the benches.
+//! the paper's related work). The `posit-quire` training backend runs every
+//! GEMM and every gradient sum through these accumulators: the tensor
+//! kernels sum fixed-point integer words and hand each exact sum to
+//! [`NarrowQuire::from_sum`] for its single rounding, and formats or depths
+//! beyond the `i128` budget fall back to the limb-array [`Quire`]. The f32
+//! backend keeps the paper's FP32 accumulation.
 
 use crate::format::PositFormat;
 use crate::round::Rounding;
@@ -233,43 +236,6 @@ impl Quire {
         }
     }
 
-    /// Exact merge of another quire into this one: the limb arrays add as
-    /// two's-complement integers (dropping the top carry, which the 32
-    /// guard bits keep meaningless) and NaR absorbs. Because the merged
-    /// value is the *exact* integer sum of both accumulators, merging is
-    /// associative and commutative — any reduction tree over partial
-    /// quires rounds to the same code word as one quire fed every product,
-    /// so how a sum is split across workers cannot change a bit.
-    ///
-    /// # Panics
-    ///
-    /// Both quires must accumulate the same format with the same margin
-    /// (identical `qmin`/width): merging differently-scaled limb arrays
-    /// would misalign their fixed points.
-    pub fn merge_from(&mut self, other: &Quire) {
-        assert_eq!(
-            self.fmt, other.fmt,
-            "Quire::merge_from: format mismatch ({} vs {})",
-            self.fmt, other.fmt
-        );
-        assert_eq!(
-            self.qmin, other.qmin,
-            "Quire::merge_from: margin mismatch (qmin {} vs {})",
-            self.qmin, other.qmin
-        );
-        debug_assert_eq!(self.words.len(), other.words.len());
-        if other.nar {
-            self.nar = true;
-        }
-        let mut carry = false;
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            let (x, c1) = w.overflowing_add(o);
-            let (x, c2) = x.overflowing_add(carry as u64);
-            *w = x;
-            carry = c1 || c2;
-        }
-    }
-
     /// Round the accumulated value to a posit code word.
     pub fn to_posit(&self, rounding: Rounding, rand_word: u64) -> u64 {
         if self.nar {
@@ -442,6 +408,21 @@ impl NarrowQuire {
         })
     }
 
+    /// An accumulator holding the exact fixed-point value `sum · 2^emin`
+    /// — the hand-off from an integer dot kernel, which sums fixed-point
+    /// words itself and needs only the single rounding of
+    /// [`NarrowQuire::to_posit`]. Any `emin` is accepted: rounding reads
+    /// the scale of `sum`'s leading bit off it, so an Eq. 2 scale shift
+    /// folds into `emin` instead of into the words.
+    pub fn from_sum(fmt: PositFormat, emin: i32, sum: i128) -> NarrowQuire {
+        NarrowQuire {
+            fmt,
+            acc: sum,
+            nar: false,
+            emin,
+        }
+    }
+
     /// The format this accumulator rounds to.
     pub fn format(&self) -> PositFormat {
         self.fmt
@@ -508,55 +489,6 @@ impl NarrowQuire {
         self.acc += if negative { -v } else { v };
     }
 
-    /// Accumulate a batched group of products that share one `scale_sum` —
-    /// the K-strip fast path: the caller sums the narrow fraction products
-    /// first and this does **one** `i128` shift-add for the whole group
-    /// instead of one per element.
-    ///
-    /// `sum` is `Σ ±(sig_a >> (64-width)) · (sig_b >> (64-width))` over the
-    /// group, where `width` is the format's small-significand width
-    /// `n - 2 - es` (so each right shift drops only guaranteed-zero bits
-    /// and the full 128-bit product of a term is its narrow product shifted
-    /// left by `128 - 2·width`). The group contribution is therefore
-    /// `sum · 2^(scale_sum + 2 - 2·width - 126)`, applied here as a single
-    /// shift — exact in both directions because every term (hence the sum)
-    /// carries the trailing-zero guarantee of
-    /// [`NarrowQuire::add_product_parts`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `scale_sum` falls outside the accumulable range — the
-    /// same hardening as the per-element path.
-    #[inline(always)]
-    pub fn add_group(&mut self, scale_sum: i32, width: u32, sum: i64) {
-        let shr = 126 + self.emin - scale_sum;
-        if !(1..=127).contains(&shr) {
-            panic!(
-                "NarrowQuire::add_group: scale_sum {scale_sum} outside the \
-                 accumulable range [{}, {}] of this {} accumulator (operands from a \
-                 wider format, or a scale shift beyond the construction margin?)",
-                self.emin - 1,
-                self.emin + 125,
-                self.fmt
-            );
-        }
-        let sh = 128 - 2 * width as i32 - shr;
-        let v = sum as i128;
-        self.acc += if sh >= 0 {
-            debug_assert!(
-                128 - v.unsigned_abs().leading_zeros() as i32 + sh <= 127,
-                "group sum overflows the accumulator (K budget exceeded?)"
-            );
-            v << sh
-        } else {
-            debug_assert!(
-                v.trailing_zeros() as i32 >= -sh,
-                "group bits below the accumulator LSB (width too large?)"
-            );
-            v >> -sh
-        };
-    }
-
     /// Accumulate the exact product `a * b` of two code words (decoding
     /// twin of [`Quire::add_product`], mainly for tests and small dots).
     pub fn add_product(&mut self, a: u64, b: u64) {
@@ -570,33 +502,6 @@ impl NarrowQuire {
         };
         let prod = (da.significand() as u128) * (db.significand() as u128);
         self.add_product_parts(da.sign != db.sign, da.scale + db.scale, prod);
-    }
-
-    /// Exact merge of another accumulator into this one — the `i128` twin
-    /// of [`Quire::merge_from`]: integer-adds the accumulators and lets NaR
-    /// absorb. The caller's K budget (see [`NarrowQuire::try_new`]) must
-    /// cover the *total* product count across every merged shard; the
-    /// grad-buffer layer sizes K from the whole batch for exactly this
-    /// reason.
-    ///
-    /// # Panics
-    ///
-    /// Both accumulators must share format and margin (identical `emin`).
-    pub fn merge_from(&mut self, other: &NarrowQuire) {
-        assert_eq!(
-            self.fmt, other.fmt,
-            "NarrowQuire::merge_from: format mismatch ({} vs {})",
-            self.fmt, other.fmt
-        );
-        assert_eq!(
-            self.emin, other.emin,
-            "NarrowQuire::merge_from: margin mismatch (emin {} vs {})",
-            self.emin, other.emin
-        );
-        if other.nar {
-            self.nar = true;
-        }
-        self.acc = self.acc.wrapping_add(other.acc);
     }
 
     /// Round the accumulated value to a posit code word — bit-identical to
@@ -653,11 +558,13 @@ mod tests {
     }
 
     #[test]
-    fn narrow_add_group_is_exactly_the_per_element_sum() {
-        use std::collections::BTreeMap;
+    fn narrow_from_sum_is_exactly_the_per_element_sum() {
+        // Fixed-point words summed as integers and handed over through
+        // `from_sum` must round exactly like per-element accumulation,
+        // for every word-eligible training format and both sides of an
+        // Eq. 2 shift folded into `emin`.
         for (n, es) in [(8u32, 0u32), (8, 1), (8, 2), (16, 1)] {
             let fmt = PositFormat::of(n, es);
-            let width = n - 2 - es;
             let mut state = 0x1234_5678_9ABC_DEF1u64;
             let mut next = move || {
                 state = state
@@ -665,35 +572,34 @@ mod tests {
                     .wrapping_add(1442695040888963407);
                 state >> 17
             };
-            for _ in 0..300 {
-                let mut q = NarrowQuire::try_new(fmt, 0, 64).unwrap();
-                // One strip of products, bucketed by scale_sum.
-                let mut sums: BTreeMap<i32, i64> = BTreeMap::new();
-                let mut elems = Vec::new();
-                for _ in 0..16 {
-                    let (a, b) = (next() & fmt.mask(), next() & fmt.mask());
-                    let (da, db) = match (fmt.decode(a), fmt.decode(b)) {
-                        (PositValue::Finite(da), PositValue::Finite(db)) => (da, db),
-                        _ => continue,
-                    };
-                    let sa = (da.significand() >> (64 - width)) as i64;
-                    let sb = (db.significand() >> (64 - width)) as i64;
-                    let p = sa * sb;
-                    let signed = if da.sign != db.sign { -p } else { p };
-                    *sums.entry(da.scale + db.scale).or_insert(0) += signed;
-                    elems.push((da, db));
+            for shift in [0i32, -3, 2] {
+                for _ in 0..300 {
+                    let margin = shift.unsigned_abs();
+                    let mut q = NarrowQuire::try_new(fmt, margin, 16).unwrap();
+                    let mut sum = 0i128;
+                    for _ in 0..16 {
+                        let (a, b) = (next() & fmt.mask(), next() & fmt.mask());
+                        let (da, db) = match (fmt.decode(a), fmt.decode(b)) {
+                            (PositValue::Finite(da), PositValue::Finite(db)) => (da, db),
+                            _ => continue,
+                        };
+                        let (wa, wb) = (
+                            crate::lut::fixed_word(fmt, fmt.decode(a)).unwrap(),
+                            crate::lut::fixed_word(fmt, fmt.decode(b)).unwrap(),
+                        );
+                        sum += wa as i128 * wb as i128;
+                        let prod = (da.significand() as u128) * (db.significand() as u128);
+                        q.add_product_parts(da.sign != db.sign, da.scale + db.scale + shift, prod);
+                    }
+                    let fixed = NarrowQuire::from_sum(fmt, 2 * fmt.min_scale() + shift, sum);
+                    for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+                        assert_eq!(
+                            fixed.to_posit(rounding, 0),
+                            q.to_posit(rounding, 0),
+                            "({n},{es}) shift {shift} {rounding:?}"
+                        );
+                    }
                 }
-                for (ss, sum) in sums {
-                    q.add_group(ss, width, sum);
-                }
-                // Subtracting every product per element must return the
-                // accumulator exactly to zero — integer equality, not a
-                // rounded comparison.
-                for (da, db) in elems {
-                    let prod = (da.significand() as u128) * (db.significand() as u128);
-                    q.add_product_parts(da.sign == db.sign, da.scale + db.scale, prod);
-                }
-                assert!(q.is_zero(), "({n},{es})");
             }
         }
     }
@@ -1034,108 +940,6 @@ mod tests {
         assert_eq!(q.to_posit(Rounding::NearestEven, 0), 0);
         q.add_product(fmt.nar_bits(), fmt.one_bits());
         assert!(q.is_nar(), "decoded NaR absorbs");
-    }
-
-    #[test]
-    fn merge_matches_single_quire_fold() {
-        // Splitting a product stream across shard quires and merging must
-        // round identically to one quire fed everything, wide and narrow.
-        let fmt = PositFormat::of(16, 1);
-        let mut state = 0xDEAD_BEEF_0BAD_F00D_u64;
-        let mut products = Vec::new();
-        for _ in 0..64 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let a = state & fmt.mask();
-            let b = (state >> 23) & fmt.mask();
-            if a != fmt.nar_bits() && b != fmt.nar_bits() {
-                products.push((a, b));
-            }
-        }
-        let mut serial = Quire::new(fmt);
-        let mut narrow_serial = NarrowQuire::try_new(fmt, 0, products.len()).unwrap();
-        for &(a, b) in &products {
-            serial.add_product(a, b);
-            narrow_serial.add_product(a, b);
-        }
-        for shards in [1usize, 2, 3, 5, 7] {
-            let mut parts: Vec<Quire> = (0..shards).map(|_| Quire::new(fmt)).collect();
-            let mut narrow_parts: Vec<NarrowQuire> = (0..shards)
-                .map(|_| NarrowQuire::try_new(fmt, 0, products.len()).unwrap())
-                .collect();
-            for (i, &(a, b)) in products.iter().enumerate() {
-                parts[i % shards].add_product(a, b);
-                narrow_parts[i % shards].add_product(a, b);
-            }
-            // Reduce in reverse shard order to stress order-invariance.
-            let mut acc = Quire::new(fmt);
-            let mut nacc = NarrowQuire::try_new(fmt, 0, products.len()).unwrap();
-            for p in parts.iter().rev() {
-                acc.merge_from(p);
-            }
-            for p in narrow_parts.iter().rev() {
-                nacc.merge_from(p);
-            }
-            for rounding in [Rounding::NearestEven, Rounding::ToZero] {
-                assert_eq!(
-                    acc.to_posit(rounding, 0),
-                    serial.to_posit(rounding, 0),
-                    "wide, {shards} shards, {rounding:?}"
-                );
-                assert_eq!(
-                    nacc.to_posit(rounding, 0),
-                    narrow_serial.to_posit(rounding, 0),
-                    "narrow, {shards} shards, {rounding:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn merge_negative_partials_cancel_exactly() {
-        // A shard holding -x merged into a shard holding +x must cancel to
-        // exactly zero — the two's-complement carry across the full limb
-        // array (and the i128 add) is what makes the all-reduce exact.
-        let fmt = PositFormat::of(16, 1);
-        let x = p(&fmt, 1.0e8);
-        let mut pos = Quire::new(fmt);
-        pos.add_product(x, x);
-        let mut neg = Quire::new(fmt);
-        neg.add_product(fmt.negate(x), x);
-        pos.merge_from(&neg);
-        assert!(pos.is_zero());
-        let mut npos = NarrowQuire::try_new(fmt, 0, 2).unwrap();
-        npos.add_product(x, x);
-        let mut nneg = NarrowQuire::try_new(fmt, 0, 2).unwrap();
-        nneg.add_product(fmt.negate(x), x);
-        npos.merge_from(&nneg);
-        assert!(npos.is_zero());
-    }
-
-    #[test]
-    fn merge_absorbs_nar() {
-        let fmt = PositFormat::of(8, 1);
-        let mut a = Quire::new(fmt);
-        a.add_product(fmt.one_bits(), fmt.one_bits());
-        let mut b = Quire::new(fmt);
-        b.set_nar();
-        a.merge_from(&b);
-        assert!(a.is_nar());
-        let mut na = NarrowQuire::try_new(fmt, 0, 1).unwrap();
-        let mut nb = NarrowQuire::try_new(fmt, 0, 1).unwrap();
-        nb.set_nar();
-        na.merge_from(&nb);
-        assert!(na.is_nar());
-    }
-
-    #[test]
-    #[should_panic(expected = "margin mismatch")]
-    fn merge_rejects_margin_mismatch() {
-        let fmt = PositFormat::of(8, 1);
-        let mut a = Quire::with_margin(fmt, 4);
-        let b = Quire::with_margin(fmt, 8);
-        a.merge_from(&b);
     }
 
     #[test]

@@ -352,6 +352,13 @@ mod tests {
             String::from_utf8_lossy(&good)
                 .replace("\"shape\"", "\"shapes\"")
                 .into_bytes(),
+            // An injected key, in a footerless header so no checksum
+            // catches it first: the schema check must.
+            {
+                let text = String::from_utf8_lossy(&good);
+                let bare = &text[..text.rfind("\n#crc32=").unwrap()];
+                bare.replacen('{', "{\"extra\": 1,", 1).into_bytes()
+            },
         ] {
             store.set(&key, &bad).unwrap();
             match read_tensor(&store, "arr") {

@@ -20,6 +20,16 @@ pub const FORMAT_VERSION: u32 = 1;
 /// the terabytes or overflow the slab size).
 pub const MAX_ELEMENTS: u64 = 1 << 31;
 
+/// The keys every header carries, whatever its dtype.
+const SCHEMA_KEYS: [&str; 6] = [
+    "posit_store_version",
+    "shape",
+    "chunk_shape",
+    "dtype",
+    "scale_exp",
+    "codecs",
+];
+
 /// Element dtype of a stored array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dtype {
@@ -103,8 +113,9 @@ impl ArrayMeta {
     ///
     /// # Errors
     ///
-    /// `Corrupt` on malformed JSON, unknown versions, or missing/ill-typed
-    /// fields.
+    /// `Corrupt` on malformed JSON, unknown versions, missing/ill-typed
+    /// fields, or keys the schema does not define (`posit_n`/`posit_es`
+    /// belong to the `"posit"` dtype only).
     pub fn from_json(text: &str) -> Result<ArrayMeta, StoreError> {
         let obj = json::parse_object(text)?;
         let version = obj.int("posit_store_version")?;
@@ -140,6 +151,18 @@ impl ArrayMeta {
                 return Err(StoreError::Corrupt(format!("unknown dtype {other:?}")));
             }
         };
+        let posit_keys: &[&str] = match dtype {
+            Dtype::F32 => &[],
+            Dtype::Posit(_) => &["posit_n", "posit_es"],
+        };
+        if let Some(key) = obj
+            .keys()
+            .find(|k| !SCHEMA_KEYS.contains(k) && !posit_keys.contains(k))
+        {
+            return Err(StoreError::Corrupt(format!(
+                "unknown metadata key {key:?} for this dtype"
+            )));
+        }
         let scale_exp = obj.int("scale_exp")?;
         if scale_exp.unsigned_abs() > 1 << 20 {
             return Err(StoreError::Corrupt(format!(
@@ -177,6 +200,11 @@ mod json {
             self.0
                 .get(key)
                 .ok_or_else(|| StoreError::Corrupt(format!("metadata lacks {key:?}")))
+        }
+
+        /// Every key of the object.
+        pub fn keys(&self) -> impl Iterator<Item = &str> {
+            self.0.keys().map(String::as_str)
         }
 
         pub fn int(&self, key: &str) -> Result<i64, StoreError> {
@@ -427,6 +455,28 @@ mod tests {
         assert!(ArrayMeta::from_json(&format!("{text}x")).is_err());
         assert!(ArrayMeta::from_json(&text[..text.len() - 1]).is_err());
         assert!(ArrayMeta::from_json("").is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_keys() {
+        // An extra key is damage or a writer this reader does not know.
+        let extra = sample(Dtype::F32)
+            .to_json()
+            .replace("\"codecs\"", "\"checksum\": 7,\n  \"codecs\"");
+        assert!(matches!(
+            ArrayMeta::from_json(&extra),
+            Err(StoreError::Corrupt(_))
+        ));
+        // The posit format keys belong to the posit dtype only.
+        let stray = sample(Dtype::F32)
+            .to_json()
+            .replace("\"dtype\"", "\"posit_n\": 8,\n  \"dtype\"");
+        assert!(matches!(
+            ArrayMeta::from_json(&stray),
+            Err(StoreError::Corrupt(_))
+        ));
+        let posit = sample(Dtype::Posit(PositFormat::of(8, 1))).to_json();
+        assert!(ArrayMeta::from_json(&posit).is_ok());
     }
 
     #[test]

@@ -11,13 +11,16 @@
 //! accumulation order.
 //!
 //! [`GradQuireBuf`] packages that for a whole gradient tensor: one exact
-//! accumulator per element, the same narrow-`i128`/wide-limb-array choice
-//! as the [`crate::posit_gemm`] kernels (decided from the *whole batch's*
-//! reduction depth `k_total`, so no shard can overflow the narrow guard
-//! bits), the kernels' zero/NaR element conventions, and a single
-//! [`GradQuireBuf::round_into`] at the end of the batch.
+//! accumulator per element, a single [`GradQuireBuf::round_into`] at the
+//! end of the batch, and the kernels' zero/NaR element conventions. When
+//! the *whole batch's* reduction depth `k_total` fits (the same accounting
+//! as [`NarrowQuire::try_new`], so no shard can overflow it), each
+//! accumulator is one `i128` fixed-point sum: every call computes its dots
+//! with the GEMM kernels' integer loop (`posit_gemm::word_dots`)
+//! and adds each, shifted onto the buffer's fixed point, into its `i128`.
+//! Otherwise each element gets a wide limb-array [`Quire`].
 
-use crate::posit_gemm::{PositPlane, Unpacked};
+use crate::posit_gemm::{dot_bits, side, word_dots, PositPlane, Side, Unpacked, Word, WordPanel};
 use posit::{NarrowQuire, PositFormat, Quire, Rounding};
 
 /// One exact quire accumulator per gradient element, fed by every shard
@@ -32,7 +35,17 @@ pub struct GradQuireBuf {
 
 #[derive(Debug, Clone)]
 enum Accs {
-    Narrow(Vec<NarrowQuire>),
+    /// Exact sums in units of `2^emin`, `emin = 2·min_scale − margin`:
+    /// the lowest fixed point any operand pair inside the margin can
+    /// produce, so every call's dots align to it with an exact left shift
+    /// of `e_a + e_b + margin ≤ 2·margin` bits. The whole batch then stays
+    /// under `2^(4·max_scale + 2·margin + ⌈log2 k_total⌉)` in magnitude —
+    /// the [`NarrowQuire::try_new`] budget, shift included.
+    Fixed {
+        emin: i32,
+        sums: Vec<i128>,
+        nar: Vec<bool>,
+    },
     Wide(Vec<Quire>),
 }
 
@@ -42,9 +55,8 @@ impl GradQuireBuf {
     ///
     /// `k_total` is the reduction depth of the *whole* batch (every product
     /// that will ever be accumulated into one element, across all shards):
-    /// it drives the narrow-vs-wide choice exactly like the GEMM kernels'
-    /// per-call `K`, so the batch's total can never overflow the chosen
-    /// representation.
+    /// it drives the fixed-point-vs-wide choice, so the batch's total can
+    /// never overflow the chosen representation.
     ///
     /// [`Rounding::Stochastic`] degrades to nearest-even like the kernels
     /// (no per-element random stream here either).
@@ -60,8 +72,14 @@ impl GradQuireBuf {
         } else {
             rounding
         };
+        // The budget implies `4·max_scale + 2 ≤ 127`, so the format's
+        // words fit an i64 and every call's dot has an integer loop.
         let accs = match NarrowQuire::try_new(fmt, margin, k_total.max(1)) {
-            Some(proto) => Accs::Narrow(vec![proto; len]),
+            Some(_) => Accs::Fixed {
+                emin: 2 * fmt.min_scale() - margin as i32,
+                sums: vec![0; len],
+                nar: vec![false; len],
+            },
             None => Accs::Wide(vec![Quire::with_margin(fmt, margin); len]),
         };
         GradQuireBuf {
@@ -75,7 +93,7 @@ impl GradQuireBuf {
     /// Accumulator count (one per gradient element).
     pub fn len(&self) -> usize {
         match &self.accs {
-            Accs::Narrow(v) => v.len(),
+            Accs::Fixed { sums, .. } => sums.len(),
             Accs::Wide(v) => v.len(),
         }
     }
@@ -90,37 +108,9 @@ impl GradQuireBuf {
         self.fmt
     }
 
-    /// True iff the register-resident narrow representation was chosen.
+    /// True iff the `i128` fixed-point representation was chosen.
     pub fn is_narrow(&self) -> bool {
-        matches!(self.accs, Accs::Narrow(_))
-    }
-
-    /// One multiply-accumulate into element `idx`, with the kernels'
-    /// conventions: zero operands are skipped, NaR absorbs.
-    #[inline]
-    pub fn mac(&mut self, idx: usize, x: Unpacked, y: Unpacked) {
-        if x.sig == 0 || y.sig == 0 {
-            if x.is_nar() || y.is_nar() {
-                match &mut self.accs {
-                    Accs::Narrow(v) => v[idx].set_nar(),
-                    Accs::Wide(v) => v[idx].set_nar(),
-                }
-            }
-            return;
-        }
-        let neg = x.neg != y.neg;
-        let scale_sum = x.scale + y.scale;
-        let prod = (x.sig as u128) * (y.sig as u128);
-        match &mut self.accs {
-            Accs::Narrow(v) => v[idx].add_product_parts(neg, scale_sum, prod),
-            Accs::Wide(v) => v[idx].add_product_parts(neg, scale_sum, prod),
-        }
-    }
-
-    /// Accumulate a single posit value into element `idx` (as `x · 1`).
-    #[inline]
-    pub fn add(&mut self, idx: usize, x: Unpacked) {
-        self.mac(idx, x, Unpacked::ONE);
+        matches!(self.accs, Accs::Fixed { .. })
     }
 
     fn check_operands(&self, a: &PositPlane, b: &PositPlane) {
@@ -130,6 +120,48 @@ impl GradQuireBuf {
             a.quire_margin() + b.quire_margin() <= self.margin,
             "operand scale shifts exceed the buffer's construction margin"
         );
+    }
+
+    /// `buf[i, j] += dot(a_i, b_j)` over the panel rows of both sides.
+    fn accumulate(&mut self, m: usize, k: usize, n: usize, a: Side<'_>, b: Side<'_>) {
+        match &mut self.accs {
+            Accs::Fixed { sums, nar, .. } => {
+                let shift = (a.plane.scale_exp() + b.plane.scale_exp() + self.margin as i32) as u32;
+                match dot_bits(self.fmt, k) {
+                    Some(64) => add_dots::<i32, 4>(sums, nar, m, k, n, a, b, shift),
+                    Some(_) => add_dots::<i64, 2>(sums, nar, m, k, n, a, b, shift),
+                    None => unreachable!("the buffer budget covers every call's dot"),
+                }
+            }
+            Accs::Wide(v) => {
+                // The two layouts the public entry points pass: both
+                // sides transposed (`[k, m]`, `[k, n]`) or neither.
+                debug_assert_eq!(a.transposed, b.transposed);
+                let (ae, be) = (a.plane.elems(), b.plane.elems());
+                if a.transposed {
+                    for t in 0..k {
+                        let b_row = &be[t * n..(t + 1) * n];
+                        for (i, &x) in ae[t * m..(t + 1) * m].iter().enumerate() {
+                            if x.sig == 0 && !x.is_nar() {
+                                continue;
+                            }
+                            for (q, &y) in v[i * n..(i + 1) * n].iter_mut().zip(b_row) {
+                                wide_mac(q, x, y);
+                            }
+                        }
+                    }
+                } else {
+                    for (i, a_run) in ae.chunks_exact(k.max(1)).take(m).enumerate() {
+                        for (j, b_run) in be.chunks_exact(k.max(1)).take(n).enumerate() {
+                            let q = &mut v[i * n + j];
+                            for (&x, &y) in a_run.iter().zip(b_run) {
+                                wide_mac(q, x, y);
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// `buf[m,n] += aᵀ[m,k]·b[k,n]` with `a` stored `[k, m]` — the exact
@@ -153,19 +185,7 @@ impl GradQuireBuf {
         assert_eq!(a_t.len(), k * m, "A^T length");
         assert_eq!(b.len(), k * n, "B length");
         assert_eq!(self.len(), m * n, "buffer length");
-        let (ae, be) = (a_t.elems(), b.elems());
-        for t in 0..k {
-            let a_row = &ae[t * m..(t + 1) * m];
-            let b_row = &be[t * n..(t + 1) * n];
-            for (i, &x) in a_row.iter().enumerate() {
-                if x.sig == 0 && !x.is_nar() {
-                    continue;
-                }
-                for (j, &y) in b_row.iter().enumerate() {
-                    self.mac(i * n + j, x, y);
-                }
-            }
-        }
+        self.accumulate(m, k, n, side(a_t, m, true), side(b, n, true));
     }
 
     /// `buf[m,n] += a[m,k]·bᵀ[k,n]` with `b` stored `[n, k]` — the exact
@@ -188,13 +208,46 @@ impl GradQuireBuf {
         assert_eq!(a.len(), m * k, "A length");
         assert_eq!(b_t.len(), n * k, "B^T length");
         assert_eq!(self.len(), m * n, "buffer length");
-        let (ae, be) = (a.elems(), b_t.elems());
-        for i in 0..m {
-            let a_run = &ae[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_run = &be[j * k..(j + 1) * k];
-                for (&x, &y) in a_run.iter().zip(b_run) {
-                    self.mac(i * n + j, x, y);
+        self.accumulate(m, k, n, side(a, m, false), side(b_t, n, false));
+    }
+
+    /// `buf[idx(r, c)] += p[r, c]` over a `[rows, cols]` plane (each value
+    /// as `x · 1`).
+    fn add_plane(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        p: &PositPlane,
+        idx: impl Fn(usize, usize) -> usize,
+    ) {
+        assert_eq!(p.format(), self.fmt, "plane format");
+        assert!(
+            p.quire_margin() <= self.margin,
+            "operand scale shift exceeds the buffer's construction margin"
+        );
+        assert_eq!(p.len(), rows * cols, "plane length");
+        let pe = p.elems();
+        match &mut self.accs {
+            Accs::Fixed { sums, nar, .. } => {
+                // x·1 in buffer units: word(x) · word(1) = word(x) ·
+                // 2^max_scale, shifted by e + margin ≥ 0 — at most
+                // 2^(3·max_scale + 2·margin) per term, inside the budget.
+                let fmt = self.fmt;
+                let base = 63 + fmt.min_scale() + p.scale_exp();
+                let shift = (fmt.max_scale() + p.scale_exp() + self.margin as i32) as u32;
+                for r in 0..rows {
+                    for (c, &x) in pe[r * cols..(r + 1) * cols].iter().enumerate() {
+                        let i = idx(r, c);
+                        nar[i] |= x.is_nar();
+                        sums[i] += (crate::posit_gemm::word_of(x, base) as i128) << shift;
+                    }
+                }
+            }
+            Accs::Wide(v) => {
+                for r in 0..rows {
+                    for (c, &x) in pe[r * cols..(r + 1) * cols].iter().enumerate() {
+                        wide_mac(&mut v[idx(r, c)], x, Unpacked::ONE);
+                    }
                 }
             }
         }
@@ -208,19 +261,8 @@ impl GradQuireBuf {
     /// Panics on format/length mismatches or an operand margin beyond the
     /// buffer's construction margin.
     pub fn accumulate_col_sums(&mut self, rows: usize, cols: usize, p: &PositPlane) {
-        assert_eq!(p.format(), self.fmt, "plane format");
-        assert!(
-            p.quire_margin() <= self.margin,
-            "operand scale shift exceeds the buffer's construction margin"
-        );
-        assert_eq!(p.len(), rows * cols, "plane length");
         assert_eq!(self.len(), cols, "buffer length");
-        let pe = p.elems();
-        for r in 0..rows {
-            for (j, &x) in pe[r * cols..(r + 1) * cols].iter().enumerate() {
-                self.add(j, x);
-            }
-        }
+        self.add_plane(rows, cols, p, |_, c| c);
     }
 
     /// `buf[r] += Σ_c p[r, c]` over a `[rows, cols]` plane — the exact
@@ -232,19 +274,8 @@ impl GradQuireBuf {
     /// Panics on format/length mismatches or an operand margin beyond the
     /// buffer's construction margin.
     pub fn accumulate_row_sums(&mut self, rows: usize, cols: usize, p: &PositPlane) {
-        assert_eq!(p.format(), self.fmt, "plane format");
-        assert!(
-            p.quire_margin() <= self.margin,
-            "operand scale shift exceeds the buffer's construction margin"
-        );
-        assert_eq!(p.len(), rows * cols, "plane length");
         assert_eq!(self.len(), rows, "buffer length");
-        let pe = p.elems();
-        for r in 0..rows {
-            for &x in &pe[r * cols..(r + 1) * cols] {
-                self.add(r, x);
-            }
-        }
+        self.add_plane(rows, cols, p, |r, _| r);
     }
 
     /// Round every accumulator once and add the results into `out` — the
@@ -264,8 +295,12 @@ impl GradQuireBuf {
             };
         };
         match &self.accs {
-            Accs::Narrow(v) => {
-                for (q, o) in v.iter().zip(out) {
+            Accs::Fixed { emin, sums, nar } => {
+                for ((&s, &poisoned), o) in sums.iter().zip(nar).zip(out) {
+                    let mut q = NarrowQuire::from_sum(self.fmt, *emin, s);
+                    if poisoned {
+                        q.set_nar();
+                    }
                     store(q.to_posit(self.rounding, 0), o);
                 }
             }
@@ -276,6 +311,46 @@ impl GradQuireBuf {
             }
         }
     }
+}
+
+/// The fixed-point accumulate: both sides become word panels, the integer
+/// loop computes each call's exact dot in a register, and the dot lands in
+/// its element's `i128` shifted left by `shift` onto the buffer's fixed
+/// point.
+#[allow(clippy::too_many_arguments)]
+fn add_dots<W: Word, const TN: usize>(
+    sums: &mut [i128],
+    nar: &mut [bool],
+    m: usize,
+    k: usize,
+    n: usize,
+    a: Side<'_>,
+    b: Side<'_>,
+    shift: u32,
+) {
+    let ap = WordPanel::<W>::build(a, k);
+    let bp = WordPanel::<W>::build(b, k);
+    word_dots::<W, TN>(&ap.words, &bp.words, m, k, n, |i, j, dot| {
+        sums[i * n + j] += dot << shift;
+        nar[i * n + j] |= ap.nar[i] || bp.nar[j];
+    });
+}
+
+/// One multiply-accumulate into a wide accumulator, with the kernels'
+/// conventions: zero operands are skipped, NaR absorbs.
+#[inline]
+fn wide_mac(q: &mut Quire, x: Unpacked, y: Unpacked) {
+    if x.sig == 0 || y.sig == 0 {
+        if x.is_nar() || y.is_nar() {
+            q.set_nar();
+        }
+        return;
+    }
+    q.add_product_parts(
+        x.neg != y.neg,
+        x.scale + y.scale,
+        (x.sig as u128) * (y.sig as u128),
+    );
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub mod workers;
 pub use backend::{Backend, Layout, Operand, PreparedOperand, Rhs};
 pub use gemm::par_map_indexed;
 pub use grad_accum::GradQuireBuf;
-pub use posit_gemm::{KStripMode, PositGemm, PositPlane};
+pub use posit_gemm::{PositGemm, PositPlane};
 pub use storage::{PackedBits, Storage, StorageDomain, StorageError};
 pub use tensor::Tensor;
 pub use workers::serial_scope;

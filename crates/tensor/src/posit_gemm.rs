@@ -11,29 +11,27 @@
 //! [`PositPlane`] and feed raw significand products to the accumulator —
 //! `O(M·K + K·N)` decodes, zero per-MAC decode work.
 //!
-//! Three compounding optimisations keep the per-MAC cost near the integer
-//! multiply it fundamentally is:
+//! The per-MAC work is the integer multiply-accumulate of the paper's MAC
+//! (Figs. 4–6) and of Deep Positron's EMAC:
 //!
-//! * **narrow accumulator** — for formats whose whole product range fits an
-//!   `i128` (every format the paper trains with: posit(8,es), posit(16,1)),
-//!   dot products accumulate in a register-resident [`posit::NarrowQuire`]
-//!   instead of the heap-allocated limb array, with a once-per-call
-//!   eligibility check (`4·max_scale + 2·margin + 2 + ⌈log2 K⌉ ≤ 127`)
-//!   that falls back to the wide [`Quire`] otherwise — bit-identically;
+//! * **fixed-point words** — for every format whose words fit an `i64`
+//!   (posit(8, es ≤ 2) and posit(16,1), every format the paper trains
+//!   with except posit(16,2)), each operand element becomes the integer
+//!   `w = value / 2^min_scale` once per call. A dot is then a plain
+//!   `i32×i32→i64` or `i64×i64→i128` multiply-accumulate loop in
+//!   register tiles (`word_dots`), and each exact sum rounds once
+//!   through [`NarrowQuire::from_sum`]. The budgets are proved on
+//!   `dot_bits`; anything outside them falls back to the limb-array
+//!   [`Quire`] — bit-identically;
 //! * **decode LUTs** — ≤8-bit formats decode operand planes through a
 //!   256-entry [`Unpacked`] table and round back to f32 on store through
-//!   [`posit::lut::to_f32_lut`], replacing per-element bit-twiddling;
-//! * **register-blocked tiles** — the kernels pack both operands into
-//!   contiguous row-major panels (`A` rows, `B` columns) and run an
-//!   `MR×NR` micro-kernel whose accumulators stay in registers across the
-//!   whole `K` loop, so operand elements stream linearly and each loaded
-//!   element feeds `MR` or `NR` multiplies.
+//!   [`posit::lut::to_f32_lut`], replacing per-element bit-twiddling.
 //!
 //! The kernel family mirrors the f32 entry points in [`crate::gemm`]
 //! (`gemm`, `gemm_at_b`, `gemm_a_bt`) with identical shape conventions and
 //! the same static row partitioner (now on the persistent worker pool), so
 //! the `nn` layers can swap backends without reshaping anything. Exactness
-//! makes all of this bit-transparent: narrow vs wide, tiled vs scalar and
+//! makes all of this bit-transparent: integer vs wide, tiled vs scalar and
 //! serial vs pooled all compute the same exact sum and round it once, which
 //! the exhaustive cross-checks in `tests/posit_gemm_exhaustive.rs` pin
 //! against exact rational arithmetic.
@@ -43,23 +41,20 @@ use posit::{NarrowQuire, PositFormat, PositValue, Quire, Rounding};
 use std::sync::OnceLock;
 
 /// Cached handles for the kernel-path counters (`tensor.*` namespace in
-/// the global [`posit_obs::Registry`]). Which fast path fired — narrow vs
-/// wide accumulator, SWAR vs LUT vs bit-twiddle decode, K-strip batching —
-/// is invisible in the results (all paths are bit-identical by
+/// the global [`posit_obs::Registry`]). Which path fired — integer loop
+/// (`narrow_calls`) vs wide accumulator, SWAR vs LUT vs bit-twiddle
+/// decode — is invisible in the results (all paths are bit-identical by
 /// construction), so these counters are the only way to see what actually
-/// ran. Recording is per *call* (or one aggregated add per row block),
+/// ran. Recording is per *call* (per output for NaR outputs),
 /// never per MAC, and every site checks [`posit_obs::enabled`] first, so
 /// the disabled cost on the hot path is a relaxed atomic load.
 struct GemmObs {
     narrow_calls: posit_obs::Counter,
     wide_calls: posit_obs::Counter,
-    kstrip_calls: posit_obs::Counter,
     decode_lut8: posit_obs::Counter,
     decode_lut2: posit_obs::Counter,
     decode_swar: posit_obs::Counter,
     decode_twiddle: posit_obs::Counter,
-    kstrips_flushed: posit_obs::Counter,
-    bucket_touches: posit_obs::Counter,
     quire_nar: posit_obs::Counter,
 }
 
@@ -70,13 +65,10 @@ fn gemm_obs() -> &'static GemmObs {
         GemmObs {
             narrow_calls: r.counter("tensor.gemm.narrow_calls"),
             wide_calls: r.counter("tensor.gemm.wide_calls"),
-            kstrip_calls: r.counter("tensor.gemm.kstrip_calls"),
             decode_lut8: r.counter("tensor.plane.decode.lut8_elems"),
             decode_lut2: r.counter("tensor.plane.decode.lut2_elems"),
             decode_swar: r.counter("tensor.plane.decode.swar_elems"),
             decode_twiddle: r.counter("tensor.plane.decode.twiddle_elems"),
-            kstrips_flushed: r.counter("tensor.gemm.kstrips_flushed"),
-            bucket_touches: r.counter("tensor.gemm.bucket_touches"),
             quire_nar: r.counter("tensor.gemm.quire_nar_outputs"),
         }
     })
@@ -449,8 +441,8 @@ impl PositPlane {
 }
 
 /// Transpose an `[rows, cols]` element tile into `[cols, rows]` — the
-/// panel-packing step that turns every kernel's strided operand walk into
-/// two contiguous streams.
+/// panel-packing step of the wide fallback, which turns its strided
+/// operand walk into two contiguous streams.
 fn transpose_elems(src: &[Unpacked], rows: usize, cols: usize) -> Vec<Unpacked> {
     debug_assert_eq!(src.len(), rows * cols);
     let mut out = vec![ZERO_ELEM; src.len()];
@@ -463,177 +455,222 @@ fn transpose_elems(src: &[Unpacked], rows: usize, cols: usize) -> Vec<Unpacked> 
     out
 }
 
-/// Rows per register tile of the micro-kernel.
-const MR: usize = 2;
-/// Columns per register tile of the micro-kernel.
-const NR: usize = 4;
+/// The width in bits of the exact integer sum a depth-`k` dot of `fmt`
+/// words runs in: `Some(64)` for `i32` words summed in an `i64`,
+/// `Some(128)` for `i64` words summed in an `i128`, `None` when the dot
+/// needs the wide [`Quire`].
+///
+/// A word is `w = value / 2^min_scale` (see [`posit::lut::fixed_word`]):
+/// an integer, with `|w| ≤ maxpos / minpos = 2^(2·max_scale)`. So
+///
+/// * `i32` words need `2·max_scale ≤ 30` (`|w| ≤ 2^30 < 2^31`), and
+///   `i64` words need `2·max_scale ≤ 62`;
+/// * a product of two words is at most `2^(4·max_scale)` in magnitude, so
+///   every partial sum of a `k`-term dot is at most
+///   `2^(4·max_scale + ⌈log2 k⌉)`. The `i64` sum is exact when
+///   `4·max_scale + 2 + ⌈log2 k⌉ ≤ 63`, and the `i128` sum when
+///   `4·max_scale + 2 + ⌈log2 k⌉ ≤ 127` — one bit to spare below the sign
+///   bit, the same accounting as [`NarrowQuire::guard_bits`].
+///
+/// The `i32` path covers posit(8,0) and posit(8,1); the `i64` path covers
+/// posit(8,2), posit(16,1), and the 8-bit formats past their `i64`
+/// budget. posit(16,2) (`2·max_scale = 112`) always takes the wide quire.
+/// The plane scale shifts never enter the budget: they move the fixed
+/// point, not the words.
+pub(crate) fn dot_bits(fmt: PositFormat, k: usize) -> Option<u32> {
+    let max_scale = fmt.max_scale() as u32;
+    let need = 4 * max_scale + 2 + k.max(1).next_power_of_two().trailing_zeros();
+    if 2 * max_scale <= 30 && need <= 63 {
+        Some(64)
+    } else if 2 * max_scale <= 62 && need <= 127 {
+        Some(128)
+    } else {
+        None
+    }
+}
 
-/// One multiply-accumulate into a narrow accumulator, with the plane
-/// conventions for zero (skip) and NaR (absorb).
-#[inline(always)]
-fn mac_narrow(q: &mut NarrowQuire, x: Unpacked, y: Unpacked) {
-    if x.sig == 0 || y.sig == 0 {
-        if x.scale == NAR_SCALE || y.scale == NAR_SCALE {
-            q.set_nar();
+/// An integer word type of the fixed-point kernels and its exact sum.
+pub(crate) trait Word: Copy + Default + Send + Sync {
+    /// The sum type: wide enough for every in-budget dot (see [`dot_bits`]).
+    type Sum: Copy + Default;
+    /// Narrow an in-budget word.
+    fn from_i64(w: i64) -> Self;
+    /// `s + a·b`, widened before the multiply.
+    fn mac(s: Self::Sum, a: Self, b: Self) -> Self::Sum;
+    /// The sum as the rounding accumulator's `i128`.
+    fn widen(s: Self::Sum) -> i128;
+}
+
+impl Word for i32 {
+    type Sum = i64;
+    #[inline(always)]
+    fn from_i64(w: i64) -> i32 {
+        w as i32
+    }
+    #[inline(always)]
+    fn mac(s: i64, a: i32, b: i32) -> i64 {
+        s + a as i64 * b as i64
+    }
+    #[inline(always)]
+    fn widen(s: i64) -> i128 {
+        s as i128
+    }
+}
+
+impl Word for i64 {
+    type Sum = i128;
+    #[inline(always)]
+    fn from_i64(w: i64) -> i64 {
+        w
+    }
+    #[inline(always)]
+    fn mac(s: i128, a: i64, b: i64) -> i128 {
+        s + a as i128 * b as i128
+    }
+    #[inline(always)]
+    fn widen(s: i128) -> i128 {
+        s
+    }
+}
+
+/// One GEMM operand as stored: `rows` panel rows (output rows for `A`,
+/// output columns for `B`) of `k` elements each, row-major `[rows, k]` or,
+/// when `transposed`, `[k, rows]`.
+#[derive(Clone, Copy)]
+pub(crate) struct Side<'a> {
+    pub(crate) plane: &'a PositPlane,
+    pub(crate) rows: usize,
+    pub(crate) transposed: bool,
+}
+
+impl Side<'_> {
+    /// The panel rows as contiguous `[rows, k]` elements (the wide
+    /// fallback's layout).
+    fn elems(&self, k: usize) -> std::borrow::Cow<'_, [Unpacked]> {
+        if self.transposed {
+            transpose_elems(self.plane.elems(), k, self.rows).into()
+        } else {
+            self.plane.elems().into()
         }
-        return;
     }
-    q.add_product_parts(
-        x.neg != y.neg,
-        x.scale + y.scale,
-        (x.sig as u128) * (y.sig as u128),
-    );
 }
 
-/// Exact dot product of two contiguous element runs in a narrow
-/// accumulator (the tail path of the micro-kernel; same math, no tiling).
-#[inline]
-fn dot_narrow(proto: NarrowQuire, a: &[Unpacked], b: &[Unpacked]) -> NarrowQuire {
-    let mut q = proto;
-    for (&x, &y) in a.iter().zip(b) {
-        mac_narrow(&mut q, x, y);
-    }
-    q
+/// An operand converted to fixed-point words once per call: `[rows, k]`
+/// row-major, plus one NaR flag per panel row. NaR absorbs a whole dot
+/// whatever its partner, so a flag per row replaces a per-MAC check; its
+/// word is 0.
+pub(crate) struct WordPanel<W> {
+    pub(crate) words: Vec<W>,
+    pub(crate) nar: Vec<bool>,
 }
 
-/// K-strip length of the batched micro-kernel: products are bucketed by
-/// `scale_sum` for this many `k` steps, then flushed into the accumulators
-/// with one `i128` shift-add per touched bucket
-/// ([`NarrowQuire::add_group`]). The bucket sums stay exact for any strip
-/// the narrow accumulator's own K budget admits (an `i64` bucket holds at
-/// least `2^32` worst-case `i32` fraction products, far above every
-/// eligible budget), so the strip is sized to amortize the flush scan to
-/// noise — most kernel-sized reductions run as a single strip and flush
-/// once per output.
-const KSTRIP: usize = 8192;
-
-/// An operand panel narrowed for the K-strip batched micro-kernel: the
-/// bit-63-aligned significands drop their guaranteed-zero low bits into
-/// signed `i32` fraction words, scales become bucket indices, and the NaR
-/// sentinels lift out into per-row flags (NaR absorbs the whole reduction
-/// regardless of its partner, so a flag per panel row replaces the per-MAC
-/// check).
-struct BatchPanel {
-    /// Per element: the signed fraction word `±(sig >> (64-width))` (0 for
-    /// zero and NaR elements). Kept separate from the scale byte so the
-    /// micro-kernel's lane reads are plain sign-extending loads.
-    sig: Vec<i32>,
-    /// Per element: the bucket-ready scale byte. The A panel carries the
-    /// `-emin` bias, so `a.sc ⊞ b.sc` (wrapping byte add) equals the
-    /// bucket index for every finite pair — the index is provably in
-    /// `[0, 126)`, so the mod-256 wrap of B's negative scales cancels
-    /// exactly. Zero/NaR elements store an always-in-range dummy scale —
-    /// their product is 0.
-    sc: Vec<u8>,
-    /// Per panel row: true iff any element is NaR.
-    nar: Vec<bool>,
-    /// Per row × strip: min stored scale over finite non-zero elements
-    /// (`> smax` sentinel when the strip row is all zero/NaR) — bounds the
-    /// flush scan to the buckets a strip actually touched.
-    smin: Vec<i32>,
-    /// Per row × strip: max stored scale over finite non-zero elements.
-    smax: Vec<i32>,
-    /// Strip count (`⌈k / KSTRIP⌉`).
-    strips: usize,
-}
-
-const SMIN_EMPTY: i32 = i32::MAX / 2;
-const SMAX_EMPTY: i32 = i32::MIN / 2;
-
-/// Bucket-array slots per accumulator in the batched kernel. Narrow
-/// eligibility bounds the bucket count by `4·max_scale + 2·margin + 1 ≤
-/// 126`, so a power-of-two 128 always fits and lets the hot loop index
-/// with a mask instead of a bounds check.
-const BUCKET_SLOTS: usize = 128;
-
-/// Rows per register tile of the *batched* micro-kernel (wider than the
-/// scalar tile: its per-`k` state is a handful of `i32`s, not `i128`
-/// accumulators, so more rows amortize the B-panel loads further).
-const MRB: usize = 4;
-/// Columns per register tile of the batched micro-kernel.
-const NRB: usize = 4;
-
-/// One batched MAC: multiply the fraction words, index the bucket by the
-/// wrapping byte sum of the scale bytes. The mask is a proven no-op for
-/// in-range panels (`idx < BUCKET_SLOTS`, asserted in debug builds at
-/// flush time); it exists to eliminate the bounds check in the hot loop.
+/// The word of one plane element: `sig · 2^(scale − e − 63) / 2^min_scale`
+/// is one right shift of the significand by `base − scale`, with `base =
+/// 63 + min_scale + e` for a plane shifted by `2^e`. The shift lies in
+/// `1..=63` for every finite element of a word-eligible format and drops
+/// only zero bits; zero and NaR have no significand bits, so their word is
+/// 0 whatever the shift.
 #[inline(always)]
-fn batch_mac(bucket: &mut [i64; BUCKET_SLOTS], xs: i32, xe: u8, ys: i32, ye: u8) {
-    let idx = xe.wrapping_add(ye) as usize & (BUCKET_SLOTS - 1);
-    bucket[idx] += xs.wrapping_mul(ys) as i64;
+pub(crate) fn word_of(e: Unpacked, base: i32) -> i64 {
+    let w = e.sig.wrapping_shr(base.wrapping_sub(e.scale) as u32) as i64;
+    if e.neg {
+        -w
+    } else {
+        w
+    }
 }
 
-impl BatchPanel {
-    /// Narrow a `[rows, k]` element panel. `bias` is subtracted from every
-    /// stored scale (`emin` for the A panel, 0 for B); `zero_scale` is the
-    /// raw scale recorded for zero/NaR elements — any value a finite
-    /// element could legally carry keeps their (zero) products in range.
-    fn build(
-        src: &[Unpacked],
-        rows: usize,
-        k: usize,
-        width: u32,
-        bias: i32,
-        zero_scale: i32,
-    ) -> BatchPanel {
-        debug_assert_eq!(src.len(), rows * k);
-        let strips = k.div_ceil(KSTRIP).max(1);
-        let mut sig = Vec::with_capacity(rows * k);
-        let mut sc = Vec::with_capacity(rows * k);
+impl<W: Word> WordPanel<W> {
+    /// Convert `side` (reduction depth `k`) into words. The plane's Eq. 2
+    /// shift is factored out of the words: the caller moves the fixed
+    /// point by it instead.
+    pub(crate) fn build(side: Side<'_>, k: usize) -> WordPanel<W> {
+        let plane = side.plane;
+        let base = 63 + plane.fmt.min_scale() + plane.scale_exp;
+        let elems = plane.elems();
+        let rows = side.rows;
+        let mut words = vec![W::default(); rows * k];
         let mut nar = vec![false; rows];
-        let mut smin = vec![SMIN_EMPTY; rows * strips];
-        let mut smax = vec![SMAX_EMPTY; rows * strips];
         for r in 0..rows {
-            for (t, e) in src[r * k..(r + 1) * k].iter().enumerate() {
-                if e.sig == 0 {
-                    nar[r] |= e.scale == NAR_SCALE;
-                    sig.push(0);
-                    sc.push((zero_scale - bias) as u8);
-                } else {
-                    let s = (e.sig >> (64 - width)) as i32;
-                    let b = e.scale - bias;
-                    sig.push(if e.neg { -s } else { s });
-                    sc.push(b as u8);
-                    let slot = r * strips + t / KSTRIP;
-                    smin[slot] = smin[slot].min(b);
-                    smax[slot] = smax[slot].max(b);
+            let dst = &mut words[r * k..(r + 1) * k];
+            if side.transposed {
+                for (t, w) in dst.iter_mut().enumerate() {
+                    let e = elems[t * rows + r];
+                    nar[r] |= e.is_nar();
+                    *w = W::from_i64(word_of(e, base));
+                }
+            } else {
+                for (w, &e) in dst.iter_mut().zip(&elems[r * k..(r + 1) * k]) {
+                    nar[r] |= e.is_nar();
+                    *w = W::from_i64(word_of(e, base));
                 }
             }
         }
-        BatchPanel {
-            sig,
-            sc,
-            nar,
-            smin,
-            smax,
-            strips,
-        }
+        WordPanel { words, nar }
     }
 }
 
-/// Runtime selection of the K-strip batched micro-kernel (see
-/// [`PositGemm::kstrip`]). Every mode computes bit-identical results — the
-/// batched path groups *exact* integer terms, so only the order of the
-/// exact sum changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KStripMode {
-    /// Use the batched kernel whenever the narrow accumulator is active
-    /// and the reduction is deep enough to amortize panel narrowing.
-    #[default]
-    Auto,
-    /// Use the batched kernel whenever the narrow accumulator is active
-    /// (tests and benches pinning the path, regardless of depth).
-    Force,
-    /// Never batch — the per-element scalar micro-kernel, kept as the
-    /// bit-exact oracle.
-    Off,
-}
+/// Rows per register tile of the integer micro-kernel.
+const MR: usize = 2;
 
-/// Minimum reduction depth at which [`KStripMode::Auto`] batches: shallow
-/// reductions (small convolutions — `conv1` has `k = 25`) flush buckets so
-/// often that the per-MAC savings drown in flush scans, and the scalar
-/// tile wins. `conv2` (`k = 150`) already gains ~1.6× from batching.
-const KSTRIP_AUTO_MIN_K: usize = 48;
+/// The exact integer dots of `a`'s `rows` panel rows against all `n` panel
+/// rows of `b` (both `[·, k]` words), in `MR×TN` register tiles with
+/// scalar edge loops: `out(i, j, sum)` once per output. Each sum is the
+/// same exact integer whatever the tiling.
+pub(crate) fn word_dots<W: Word, const TN: usize>(
+    a: &[W],
+    b: &[W],
+    rows: usize,
+    k: usize,
+    n: usize,
+    mut out: impl FnMut(usize, usize, i128),
+) {
+    let dot = |x: &[W], y: &[W]| {
+        W::widen(
+            x.iter()
+                .zip(y)
+                .fold(W::Sum::default(), |s, (&p, &q)| W::mac(s, p, q)),
+        )
+    };
+    let row = |i: usize| &a[i * k..(i + 1) * k];
+    let col = |j: usize| &b[j * k..(j + 1) * k];
+    let mut i = 0;
+    while i + MR <= rows {
+        // Re-slicing to `..k` lets the `t` loop drop its bounds checks.
+        let xs: [&[W]; MR] = std::array::from_fn(|r| &row(i + r)[..k]);
+        let mut j = 0;
+        while j + TN <= n {
+            let ys: [&[W]; TN] = std::array::from_fn(|c| &col(j + c)[..k]);
+            let mut acc = [[W::Sum::default(); TN]; MR];
+            for t in 0..k {
+                for (acc_row, x) in acc.iter_mut().zip(&xs) {
+                    for (s, y) in acc_row.iter_mut().zip(&ys) {
+                        *s = W::mac(*s, x[t], y[t]);
+                    }
+                }
+            }
+            for (r, acc_row) in acc.iter().enumerate() {
+                for (c, &s) in acc_row.iter().enumerate() {
+                    out(i + r, j + c, W::widen(s));
+                }
+            }
+            j += TN;
+        }
+        while j < n {
+            for (r, x) in xs.iter().enumerate() {
+                out(i + r, j, dot(x, col(j)));
+            }
+            j += 1;
+        }
+        i += MR;
+    }
+    while i < rows {
+        for j in 0..n {
+            out(i, j, dot(row(i), col(j)));
+        }
+        i += 1;
+    }
+}
 
 /// The posit GEMM kernel family: exact accumulation over [`PositPlane`]
 /// operands, one rounding per output element.
@@ -646,7 +683,6 @@ pub struct PositGemm {
     fmt: PositFormat,
     rounding: Rounding,
     force_wide: bool,
-    kstrip: KStripMode,
 }
 
 impl PositGemm {
@@ -664,42 +700,29 @@ impl PositGemm {
             fmt,
             rounding,
             force_wide: false,
-            kstrip: KStripMode::Auto,
         }
     }
 
-    /// Force the heap-allocated wide [`Quire`] even when the format is
-    /// narrow-eligible (builder style). Results are bit-identical either
-    /// way; this exists so tests and benches can pin the fallback path.
+    /// Force the heap-allocated wide [`Quire`] even when the format's
+    /// words fit an integer loop (builder style). Results are
+    /// bit-identical either way; this exists so tests and benches can pin
+    /// the fallback path.
     pub fn wide_accumulator(mut self, force_wide: bool) -> PositGemm {
         self.force_wide = force_wide;
         self
     }
 
-    /// Select how the K-strip batched micro-kernel is chosen (builder
-    /// style). Results are bit-identical in every mode.
-    pub fn kstrip(mut self, mode: KStripMode) -> PositGemm {
-        self.kstrip = mode;
-        self
-    }
-
-    /// True iff a GEMM with reduction depth `k` over planes carrying
-    /// `margin` total scale-shift bits would take the narrow-accumulator
-    /// fast path (see [`posit::NarrowQuire::try_new`] for the accounting).
-    pub fn uses_narrow_path(&self, margin: u32, k: usize) -> bool {
-        !self.force_wide && NarrowQuire::try_new(self.fmt, margin, k).is_some()
-    }
-
-    /// True iff a GEMM with reduction depth `k` over planes carrying
-    /// `margin` total scale-shift bits would run the K-strip batched
-    /// micro-kernel (requires the narrow path; [`KStripMode`] then decides).
-    pub fn uses_kstrip_path(&self, margin: u32, k: usize) -> bool {
-        self.uses_narrow_path(margin, k)
-            && match self.kstrip {
-                KStripMode::Auto => k >= KSTRIP_AUTO_MIN_K,
-                KStripMode::Force => true,
-                KStripMode::Off => false,
-            }
+    /// The width in bits of the integer sum a GEMM with reduction depth
+    /// `k` accumulates each output in — `Some(64)` (`i32` words, `i64`
+    /// sums) or `Some(128)` (`i64` words, `i128` sums) — or `None` when it
+    /// takes the wide [`Quire`]. Plane scale shifts do not enter: they
+    /// move the fixed point, not the words.
+    pub fn dot_bits(&self, k: usize) -> Option<u32> {
+        if self.force_wide {
+            None
+        } else {
+            dot_bits(self.fmt, k)
+        }
     }
 
     /// The kernel's format.
@@ -712,12 +735,16 @@ impl PositGemm {
         PositPlane::from_f32(self.fmt, xs, self.rounding)
     }
 
-    /// Round an accumulated narrow dot to f32, through the store LUT when
-    /// the format has one.
+    /// Round one exact output — `sum · 2^emin`, or NaR — to f32, through
+    /// the store LUT when the format has one.
     #[inline]
-    fn store_narrow(&self, q: &NarrowQuire, lut: Option<&[f32]>) -> f32 {
-        if posit_obs::enabled() && q.is_nar() {
-            gemm_obs().quire_nar.incr();
+    fn store(&self, emin: i32, sum: i128, nar: bool, lut: Option<&[f32]>) -> f32 {
+        let mut q = NarrowQuire::from_sum(self.fmt, emin, sum);
+        if nar {
+            if posit_obs::enabled() {
+                gemm_obs().quire_nar.incr();
+            }
+            q.set_nar();
         }
         let code = q.to_posit(self.rounding, 0);
         match lut {
@@ -726,301 +753,63 @@ impl PositGemm {
         }
     }
 
-    /// The shared panel kernel: `c[rows, n] += round(dot(a_rows, b_cols))`
-    /// over row-major `A` rows (`[m, k]`, already offset to this block) and
-    /// row-major `B` columns (`[n, k]`).
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_panels(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a_rows: &[Unpacked],
-        b_cols: &[Unpacked],
-        margin: u32,
-        c: &mut [f32],
-    ) {
-        let kernel = *self;
-        let narrow = if self.force_wide {
-            None
-        } else {
-            NarrowQuire::try_new(self.fmt, margin, k)
-        };
-        let f32_lut = posit::lut::to_f32_lut(self.fmt);
-        // Narrow both panels once per call when the K-strip batched kernel
-        // is selected (the panels are shared read-only across row blocks).
-        let batch = if narrow.is_some() && self.uses_kstrip_path(margin, k) {
-            self.fmt
-                .n()
-                .checked_sub(2 + self.fmt.es())
-                // The fraction words must multiply inside an i32 (2·width
-                // ≤ 30); every format the paper trains with passes.
-                .filter(|&w| (1..=15).contains(&w))
-                .and_then(|width| {
-                    let emin = 2 * self.fmt.min_scale() - margin as i32;
-                    let buckets = (4 * self.fmt.max_scale() + 2 * margin as i32 + 1) as usize;
-                    if buckets > BUCKET_SLOTS {
-                        return None; // unreachable under narrow eligibility
-                    }
-                    let ap = BatchPanel::build(a_rows, m, k, width, emin, self.fmt.min_scale());
-                    let bp = BatchPanel::build(b_cols, n, k, width, 0, 0);
-                    Some((ap, bp, width, emin, buckets))
-                })
-        } else {
-            None
-        };
+    /// The shared body of every entry point: `c[m, n] += round(dot(a_i,
+    /// b_j))` over the panel rows of both sides.
+    fn gemm_sides(&self, m: usize, k: usize, n: usize, a: Side<'_>, b: Side<'_>, c: &mut [f32]) {
+        let bits = self.dot_bits(k);
         if posit_obs::enabled() {
             let o = gemm_obs();
-            if narrow.is_some() {
+            if bits.is_some() {
                 o.narrow_calls.incr();
             } else {
                 o.wide_calls.incr();
             }
-            if batch.is_some() {
-                o.kstrip_calls.incr();
+        }
+        match bits {
+            Some(64) => self.gemm_words::<i32, 4>(m, k, n, a, b, c),
+            Some(_) => self.gemm_words::<i64, 2>(m, k, n, a, b, c),
+            None => {
+                let margin = a.plane.quire_margin() + b.plane.quire_margin();
+                let (a_rows, b_cols) = (a.elems(k), b.elems(k));
+                let f32_lut = posit::lut::to_f32_lut(self.fmt);
+                par_rows(m, n, m * k * n, c, |row0, c_chunk| {
+                    let rows = c_chunk.len().checked_div(n).unwrap_or(0);
+                    let a_block = &a_rows[row0 * k..(row0 + rows) * k];
+                    self.block_wide(f32_lut, margin, rows, k, n, a_block, &b_cols, c_chunk);
+                });
             }
         }
+    }
+
+    /// The integer path: both sides become word panels once per call, the
+    /// row blocks run [`word_dots`] on the pool, and each exact sum rounds
+    /// once with the fixed point at `2^(2·min_scale + e_a + e_b)`.
+    fn gemm_words<W: Word, const TN: usize>(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: Side<'_>,
+        b: Side<'_>,
+        c: &mut [f32],
+    ) {
+        let ap = WordPanel::<W>::build(a, k);
+        let bp = WordPanel::<W>::build(b, k);
+        let emin = 2 * self.fmt.min_scale() + a.plane.scale_exp + b.plane.scale_exp;
+        let f32_lut = posit::lut::to_f32_lut(self.fmt);
         par_rows(m, n, m * k * n, c, |row0, c_chunk| {
             let rows = c_chunk.len().checked_div(n).unwrap_or(0);
-            let a_block = &a_rows[row0 * k..(row0 + rows) * k];
-            match (narrow, &batch) {
-                (Some(proto), Some((ap, bp, width, emin, bc))) => kernel.block_batched(
-                    proto, f32_lut, row0, rows, k, n, a_block, b_cols, ap, bp, *width, *emin, *bc,
-                    c_chunk,
-                ),
-                (Some(proto), None) => {
-                    kernel.block_narrow(proto, f32_lut, rows, k, n, a_block, b_cols, c_chunk)
-                }
-                (None, _) => {
-                    kernel.block_wide(f32_lut, margin, rows, k, n, a_block, b_cols, c_chunk)
-                }
-            }
+            let a_block = &ap.words[row0 * k..(row0 + rows) * k];
+            word_dots::<W, TN>(a_block, &bp.words, rows, k, n, |i, j, sum| {
+                let nar = ap.nar[row0 + i] || bp.nar[j];
+                c_chunk[i * n + j] += self.store(emin, sum, nar, f32_lut);
+            });
         });
     }
 
-    /// K-strip batched fast path over one row block: the MR×NR register
-    /// tile keeps `i64` *bucket* sums per `scale_sum` instead of an `i128`
-    /// accumulator per MAC. Within a strip every product is a narrow `i32`
-    /// multiply plus an indexed add; at the strip boundary each touched
-    /// bucket flushes with **one** `i128` shift-add
-    /// ([`NarrowQuire::add_group`]). Grouping exact integer terms never
-    /// changes the sum, so the result is bit-identical to the scalar
-    /// kernels; zero elements carry a zero fraction word (their adds are
-    /// no-ops) and NaR lifts out into panel-row flags applied on store.
-    #[allow(clippy::too_many_arguments)]
-    fn block_batched(
-        &self,
-        proto: NarrowQuire,
-        f32_lut: Option<&[f32]>,
-        row0: usize,
-        rows: usize,
-        k: usize,
-        n: usize,
-        a: &[Unpacked],
-        b_cols: &[Unpacked],
-        ap: &BatchPanel,
-        bp: &BatchPanel,
-        width: u32,
-        emin: i32,
-        bc: usize,
-        c: &mut [f32],
-    ) {
-        let strips = ap.strips;
-        debug_assert_eq!(strips, bp.strips);
-        debug_assert!(bc <= BUCKET_SLOTS);
-        // Flush accounting stays in locals and posts one counter add per
-        // row block; the `obs_on` tests sit in the flush scan, never in
-        // the per-MAC strip loop.
-        let obs_on = posit_obs::enabled();
-        let mut strips_flushed = 0u64;
-        let mut bucket_touches = 0u64;
-        let mut buckets = [[0i64; BUCKET_SLOTS]; MRB * NRB];
-        let mut i = 0;
-        while i + MRB <= rows {
-            let r0 = row0 + i;
-            let a0s = &ap.sig[r0 * k..(r0 + 1) * k];
-            let a1s = &ap.sig[(r0 + 1) * k..(r0 + 2) * k];
-            let a2s = &ap.sig[(r0 + 2) * k..(r0 + 3) * k];
-            let a3s = &ap.sig[(r0 + 3) * k..(r0 + 4) * k];
-            let a0e = &ap.sc[r0 * k..(r0 + 1) * k];
-            let a1e = &ap.sc[(r0 + 1) * k..(r0 + 2) * k];
-            let a2e = &ap.sc[(r0 + 2) * k..(r0 + 3) * k];
-            let a3e = &ap.sc[(r0 + 3) * k..(r0 + 4) * k];
-            let a_nar = [ap.nar[r0], ap.nar[r0 + 1], ap.nar[r0 + 2], ap.nar[r0 + 3]];
-            let mut j = 0;
-            while j + NRB <= n {
-                let b0s = &bp.sig[j * k..(j + 1) * k];
-                let b1s = &bp.sig[(j + 1) * k..(j + 2) * k];
-                let b2s = &bp.sig[(j + 2) * k..(j + 3) * k];
-                let b3s = &bp.sig[(j + 3) * k..(j + 4) * k];
-                let b0e = &bp.sc[j * k..(j + 1) * k];
-                let b1e = &bp.sc[(j + 1) * k..(j + 2) * k];
-                let b2e = &bp.sc[(j + 2) * k..(j + 3) * k];
-                let b3e = &bp.sc[(j + 3) * k..(j + 4) * k];
-                let mut acc = [[proto; NRB]; MRB];
-                let mut t0 = 0;
-                let mut strip = 0;
-                while t0 < k {
-                    let t1 = (t0 + KSTRIP).min(k);
-                    let [bk00, bk01, bk02, bk03, bk10, bk11, bk12, bk13, bk20, bk21, bk22, bk23, bk30, bk31, bk32, bk33] =
-                        &mut buckets;
-                    for t in t0..t1 {
-                        // Each lane read is one sign-extending (fraction)
-                        // or zero-extending (scale byte) load; every lane
-                        // then feeds NRB (or MRB) MACs.
-                        let (x0s, x0e) = (a0s[t], a0e[t]);
-                        let (x1s, x1e) = (a1s[t], a1e[t]);
-                        let (x2s, x2e) = (a2s[t], a2e[t]);
-                        let (x3s, x3e) = (a3s[t], a3e[t]);
-                        let (y0s, y0e) = (b0s[t], b0e[t]);
-                        let (y1s, y1e) = (b1s[t], b1e[t]);
-                        let (y2s, y2e) = (b2s[t], b2e[t]);
-                        let (y3s, y3e) = (b3s[t], b3e[t]);
-                        batch_mac(bk00, x0s, x0e, y0s, y0e);
-                        batch_mac(bk01, x0s, x0e, y1s, y1e);
-                        batch_mac(bk02, x0s, x0e, y2s, y2e);
-                        batch_mac(bk03, x0s, x0e, y3s, y3e);
-                        batch_mac(bk10, x1s, x1e, y0s, y0e);
-                        batch_mac(bk11, x1s, x1e, y1s, y1e);
-                        batch_mac(bk12, x1s, x1e, y2s, y2e);
-                        batch_mac(bk13, x1s, x1e, y3s, y3e);
-                        batch_mac(bk20, x2s, x2e, y0s, y0e);
-                        batch_mac(bk21, x2s, x2e, y1s, y1e);
-                        batch_mac(bk22, x2s, x2e, y2s, y2e);
-                        batch_mac(bk23, x2s, x2e, y3s, y3e);
-                        batch_mac(bk30, x3s, x3e, y0s, y0e);
-                        batch_mac(bk31, x3s, x3e, y1s, y1e);
-                        batch_mac(bk32, x3s, x3e, y2s, y2e);
-                        batch_mac(bk33, x3s, x3e, y3s, y3e);
-                    }
-                    for (r, acc_row) in acc.iter_mut().enumerate() {
-                        let alo = ap.smin[(row0 + i + r) * strips + strip];
-                        let ahi = ap.smax[(row0 + i + r) * strips + strip];
-                        for (s, q) in acc_row.iter_mut().enumerate() {
-                            let lo = alo + bp.smin[(j + s) * strips + strip];
-                            let hi = ahi + bp.smax[(j + s) * strips + strip];
-                            if lo > hi {
-                                continue; // strip touched no bucket for this output
-                            }
-                            debug_assert!(lo >= 0 && (hi as usize) < bc);
-                            if obs_on {
-                                strips_flushed += 1;
-                            }
-                            let bk = &mut buckets[r * NRB + s];
-                            for idx in lo as usize..=hi as usize {
-                                let v = bk[idx & (BUCKET_SLOTS - 1)];
-                                if v != 0 {
-                                    if obs_on {
-                                        bucket_touches += 1;
-                                    }
-                                    q.add_group(idx as i32 + emin, width, v);
-                                    bk[idx & (BUCKET_SLOTS - 1)] = 0;
-                                }
-                            }
-                        }
-                    }
-                    t0 = t1;
-                    strip += 1;
-                }
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    for (s, q) in acc_row.iter_mut().enumerate() {
-                        if a_nar[r] || bp.nar[j + s] {
-                            q.set_nar();
-                        }
-                        c[(i + r) * n + j + s] += self.store_narrow(q, f32_lut);
-                    }
-                }
-                j += NRB;
-            }
-            while j < n {
-                let b_run = &b_cols[j * k..(j + 1) * k];
-                for r in 0..MRB {
-                    let a_run = &a[(i + r) * k..(i + r + 1) * k];
-                    c[(i + r) * n + j] +=
-                        self.store_narrow(&dot_narrow(proto, a_run, b_run), f32_lut);
-                }
-                j += 1;
-            }
-            i += MRB;
-        }
-        while i < rows {
-            let a_run = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_run = &b_cols[j * k..(j + 1) * k];
-                c[i * n + j] += self.store_narrow(&dot_narrow(proto, a_run, b_run), f32_lut);
-            }
-            i += 1;
-        }
-        if obs_on {
-            let o = gemm_obs();
-            o.kstrips_flushed.add(strips_flushed);
-            o.bucket_touches.add(bucket_touches);
-        }
-    }
-
-    /// Narrow fast path over one row block: MR×NR register tiles with
-    /// scalar edge loops. Every output element still accumulates its own
-    /// exact sum in ascending-`k` order, so tiling is bit-transparent.
-    #[allow(clippy::too_many_arguments)]
-    fn block_narrow(
-        &self,
-        proto: NarrowQuire,
-        f32_lut: Option<&[f32]>,
-        rows: usize,
-        k: usize,
-        n: usize,
-        a: &[Unpacked],
-        b_cols: &[Unpacked],
-        c: &mut [f32],
-    ) {
-        let mut i = 0;
-        while i + MR <= rows {
-            let a0 = &a[i * k..(i + 1) * k];
-            let a1 = &a[(i + 1) * k..(i + 2) * k];
-            let mut j = 0;
-            while j + NR <= n {
-                let b0 = &b_cols[j * k..(j + 1) * k];
-                let b1 = &b_cols[(j + 1) * k..(j + 2) * k];
-                let b2 = &b_cols[(j + 2) * k..(j + 3) * k];
-                let b3 = &b_cols[(j + 3) * k..(j + 4) * k];
-                let mut acc = [[proto; NR]; MR];
-                for t in 0..k {
-                    let av = [a0[t], a1[t]];
-                    let bv = [b0[t], b1[t], b2[t], b3[t]];
-                    for (r, &x) in av.iter().enumerate() {
-                        for (s, &y) in bv.iter().enumerate() {
-                            mac_narrow(&mut acc[r][s], x, y);
-                        }
-                    }
-                }
-                for (r, acc_row) in acc.iter().enumerate() {
-                    for (s, q) in acc_row.iter().enumerate() {
-                        c[(i + r) * n + j + s] += self.store_narrow(q, f32_lut);
-                    }
-                }
-                j += NR;
-            }
-            while j < n {
-                let b_run = &b_cols[j * k..(j + 1) * k];
-                c[i * n + j] += self.store_narrow(&dot_narrow(proto, a0, b_run), f32_lut);
-                c[(i + 1) * n + j] += self.store_narrow(&dot_narrow(proto, a1, b_run), f32_lut);
-                j += 1;
-            }
-            i += MR;
-        }
-        while i < rows {
-            let a_run = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_run = &b_cols[j * k..(j + 1) * k];
-                c[i * n + j] += self.store_narrow(&dot_narrow(proto, a_run, b_run), f32_lut);
-            }
-            i += 1;
-        }
-    }
-
     /// Wide fallback over one row block: per-output dots into the
-    /// limb-array [`Quire`] (formats or reduction depths the narrow
-    /// accumulator refuses). Operands still stream contiguously.
+    /// limb-array [`Quire`] (formats or reduction depths outside the
+    /// integer budgets). Operands still stream contiguously.
     #[allow(clippy::too_many_arguments)]
     fn block_wide(
         &self,
@@ -1083,9 +872,7 @@ impl PositGemm {
         assert_eq!(a.len(), m * k, "A length");
         assert_eq!(b.len(), k * n, "B length");
         assert_eq!(c.len(), m * n, "C length");
-        let margin = a.quire_margin() + b.quire_margin();
-        let b_cols = transpose_elems(b.elems(), k, n);
-        self.gemm_panels(m, k, n, a.elems(), &b_cols, margin, c);
+        self.gemm_sides(m, k, n, side(a, m, false), side(b, n, true), c);
     }
 
     /// `c += round(a^T[m,k] * b[k,n])` with `a` stored `[k, m]` — the posit
@@ -1108,15 +895,12 @@ impl PositGemm {
         assert_eq!(a_t.len(), k * m, "A^T length");
         assert_eq!(b.len(), k * n, "B length");
         assert_eq!(c.len(), m * n, "C length");
-        let margin = a_t.quire_margin() + b.quire_margin();
-        let a_rows = transpose_elems(a_t.elems(), k, m);
-        let b_cols = transpose_elems(b.elems(), k, n);
-        self.gemm_panels(m, k, n, &a_rows, &b_cols, margin, c);
+        self.gemm_sides(m, k, n, side(a_t, m, true), side(b, n, true), c);
     }
 
     /// `c += round(a[m,k] * b^T[k,n])` with `b` stored `[n, k]` — the posit
     /// twin of [`crate::gemm::gemm_a_bt`]. Both operands already sit in
-    /// panel layout, so this entry point packs nothing.
+    /// panel layout.
     ///
     /// # Panics
     ///
@@ -1135,8 +919,16 @@ impl PositGemm {
         assert_eq!(a.len(), m * k, "A length");
         assert_eq!(b_t.len(), n * k, "B^T length");
         assert_eq!(c.len(), m * n, "C length");
-        let margin = a.quire_margin() + b_t.quire_margin();
-        self.gemm_panels(m, k, n, a.elems(), b_t.elems(), margin, c);
+        self.gemm_sides(m, k, n, side(a, m, false), side(b_t, n, false), c);
+    }
+}
+
+/// `plane` as a GEMM side of `rows` panel rows.
+pub(crate) fn side(plane: &PositPlane, rows: usize, transposed: bool) -> Side<'_> {
+    Side {
+        plane,
+        rows,
+        transposed,
     }
 }
 
@@ -1185,6 +977,35 @@ mod tests {
                         decode_one(fmt, b, shift),
                         "({n},{es}) {b:#x} shift {shift}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plane_words_match_decode_for_every_code() {
+        // Every code word of every word-eligible training format, NaR and
+        // zero included, through the LUT (from_bits) and SWAR (from_packed,
+        // scale-shifted) decodes: the kernels' one-shift conversion must
+        // give the word `posit::lut::fixed_word` defines, and flag NaR.
+        for (n, es) in [(8u32, 0u32), (8, 1), (8, 2), (16, 1)] {
+            let fmt = PositFormat::of(n, es);
+            let codes: Vec<u64> = (0..fmt.code_count()).collect();
+            let mut packed = crate::storage::PackedBits::for_format(fmt, codes.len());
+            for &b in &codes {
+                packed.push(b);
+            }
+            for (plane, e) in [
+                (PositPlane::from_bits(fmt, &codes), 0),
+                (PositPlane::from_packed(fmt, &packed, -9), -9),
+                (PositPlane::from_packed(fmt, &packed, 6), 6),
+            ] {
+                let len = codes.len();
+                let panel = WordPanel::<i64>::build(side(&plane, len, false), 1);
+                for (i, &b) in codes.iter().enumerate() {
+                    let want = posit::lut::fixed_word(fmt, fmt.decode(b));
+                    assert_eq!(panel.nar[i], want.is_none(), "({n},{es}) {b:#x} e={e}");
+                    assert_eq!(panel.words[i], want.unwrap_or(0), "({n},{es}) {b:#x} e={e}");
                 }
             }
         }
@@ -1361,8 +1182,8 @@ mod tests {
                     .map(|i| ((i * 11 % 19) as f32 - 9.0) * scale)
                     .collect();
                 let (pa, pb) = (plane(fmt, &av), plane(fmt, &bv));
-                assert!(fast.uses_narrow_path(0, k), "{fmt} k={k}");
-                assert!(!wide.uses_narrow_path(0, k));
+                assert!(fast.dot_bits(k).is_some(), "{fmt} k={k}");
+                assert_eq!(wide.dot_bits(k), None);
                 let mut c_fast = vec![0.0f32; m * n];
                 let mut c_wide = vec![0.0f32; m * n];
                 fast.gemm(m, k, n, &pa, &pb, &mut c_fast);
@@ -1374,13 +1195,13 @@ mod tests {
 
     #[test]
     fn deep_reductions_fall_back_to_the_wide_quire() {
-        // (16,1) has 13 guard bits: K beyond 8192 must refuse the narrow
+        // (16,1) has 13 guard bits: K beyond 8192 must refuse the integer
         // path automatically and still agree with the forced-wide kernel.
         let fmt = PositFormat::of(16, 1);
         let g = PositGemm::new(fmt, Rounding::NearestEven);
         let k = 8200;
-        assert!(!g.uses_narrow_path(0, k), "K guard must refuse");
-        assert!(g.uses_narrow_path(0, 8192), "K at the guard limit is fine");
+        assert_eq!(g.dot_bits(k), None, "K guard must refuse");
+        assert!(g.dot_bits(8192).is_some(), "K at the guard limit is fine");
         let av: Vec<f32> = (0..k)
             .map(|i| if i % 2 == 0 { 0.5 } else { -0.5 })
             .collect();

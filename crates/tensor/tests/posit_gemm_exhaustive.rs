@@ -1,5 +1,5 @@
 //! Exhaustive posit(8,·) cross-backend agreement: the `posit-quire` GEMM —
-//! narrow-accumulator fast path, decode LUTs, register-blocked tiles and
+//! fixed-point integer loops, decode LUTs, register-blocked tiles and
 //! all — must be bit-identical to a double-rounding-free reference built
 //! from exact rational arithmetic (`posit::exact`), for every code-word
 //! pair of every 8-bit training format and for full-code-space dot
@@ -8,7 +8,7 @@
 
 use posit::exact::{decode_ref, Rational, RefRounder};
 use posit::{PositFormat, Rounding};
-use posit_tensor::{KStripMode, PackedBits, PositGemm, PositPlane};
+use posit_tensor::{GradQuireBuf, PackedBits, PositGemm, PositPlane};
 
 /// The 8-bit formats the paper trains with (es 0..=2).
 const NARROW_FMTS: [PositFormat; 3] = [
@@ -51,7 +51,7 @@ fn exhaustive_pairwise_products_match_exact_rationals() {
         let rounder = RefRounder::new(fmt);
         for rounding in [Rounding::NearestEven, Rounding::ToZero] {
             let kernel = PositGemm::new(fmt, rounding);
-            assert!(kernel.uses_narrow_path(0, 1), "{fmt} must run narrow");
+            assert!(kernel.dot_bits(1).is_some(), "{fmt} must run narrow");
             let mut c = vec![0.0f32; m * m];
             kernel.gemm(m, 1, m, &a, &b, &mut c);
             for (i, &ca) in codes.iter().enumerate() {
@@ -82,7 +82,7 @@ fn exhaustive_pairwise_products_forced_wide_agrees() {
         for rounding in [Rounding::NearestEven, Rounding::ToZero] {
             let fast = PositGemm::new(fmt, rounding);
             let wide = fast.wide_accumulator(true);
-            assert!(!wide.uses_narrow_path(0, 1));
+            assert_eq!(wide.dot_bits(1), None);
             let mut c_fast = vec![0.0f32; m * m];
             let mut c_wide = vec![0.0f32; m * m];
             fast.gemm(m, 1, m, &a, &b, &mut c_fast);
@@ -166,7 +166,7 @@ fn sampled_p16_dots_match_exact_rationals() {
         }
         for rounding in [Rounding::NearestEven, Rounding::ToZero] {
             let fast = PositGemm::new(fmt, rounding);
-            assert!(fast.uses_narrow_path(0, k));
+            assert!(fast.dot_bits(k).is_some());
             let want = fmt.to_f32(round_ref(&rounder, &sum, rounding));
             let mut c = vec![0.0f32; 1];
             fast.gemm(1, k, 1, &a, &b, &mut c);
@@ -348,10 +348,10 @@ fn packed_plane_decode_matches_scalar_oracle() {
     }
 }
 
-/// The K-strip batched micro-kernel groups exact integer terms before the
-/// quire sees them, so forcing it on must be bit-identical to the scalar
-/// narrow kernel on the same inputs — pinned on every pairwise product of
-/// every 8-bit training format (k = 1, the degenerate strip).
+/// Every pairwise product of every 8-bit training format (k = 1) through
+/// the integer kernel — `i32` words for es ≤ 1, `i64` words for es = 2 —
+/// must match the forced-wide quire bit for bit. (Named for the K-strip
+/// bucket kernel it first pinned; the shapes and formats are unchanged.)
 #[test]
 fn kstrip_pairwise_products_bitwise_agree() {
     for fmt in NARROW_FMTS {
@@ -360,29 +360,29 @@ fn kstrip_pairwise_products_bitwise_agree() {
         let a = PositPlane::from_bits(fmt, &codes);
         let b = PositPlane::from_bits(fmt, &codes);
         for rounding in [Rounding::NearestEven, Rounding::ToZero] {
-            let off = PositGemm::new(fmt, rounding).kstrip(KStripMode::Off);
-            let force = PositGemm::new(fmt, rounding).kstrip(KStripMode::Force);
-            assert!(!off.uses_kstrip_path(0, 1));
-            assert!(force.uses_kstrip_path(0, 1), "{fmt} must batch");
-            let mut c_off = vec![0.0f32; m * m];
-            let mut c_force = vec![0.0f32; m * m];
-            off.gemm(m, 1, m, &a, &b, &mut c_off);
-            force.gemm(m, 1, m, &a, &b, &mut c_force);
-            assert_eq!(c_off, c_force, "{fmt} {rounding:?}");
+            let fast = PositGemm::new(fmt, rounding);
+            let wide = fast.wide_accumulator(true);
+            let bits = if fmt.es() <= 1 { 64 } else { 128 };
+            assert_eq!(fast.dot_bits(1), Some(bits), "{fmt}");
+            assert_eq!(wide.dot_bits(1), None);
+            let mut c_fast = vec![0.0f32; m * m];
+            let mut c_wide = vec![0.0f32; m * m];
+            fast.gemm(m, 1, m, &a, &b, &mut c_fast);
+            wide.gemm(m, 1, m, &a, &b, &mut c_wide);
+            assert_eq!(c_fast, c_wide, "{fmt} {rounding:?}");
         }
     }
 }
 
-/// Sampled posit(16,1) K-strip agreement at GEMM scale: register-tile
-/// interiors, row/column tails, zero and NaR lanes, reduction depths
-/// around the Auto threshold and around the strip boundary (8192) — the
-/// batched kernel must match the scalar kernel bit for bit everywhere.
+/// Sampled posit(16,1) agreement at GEMM scale between the `i64`-word
+/// kernel and the forced-wide quire: register-tile interiors, row/column
+/// tails, zero and NaR lanes, and depths up to the `i128` budget edge
+/// (8192 = 2^13: `4·28 + 2 + 13 = 127`). (Named for the K-strip kernel it
+/// first pinned; the shapes are unchanged.)
 #[test]
 fn kstrip_sampled_p16_sweeps_agree() {
     let fmt = PositFormat::of(16, 1);
     let mut state = 0xFACE_0FF5_1234_5678u64;
-    // (m, k, n): tails (m % 4, n % 4 ≠ 0), depths straddling the Auto
-    // threshold (48) and the K-strip length (8192).
     for (m, k, n) in [
         (5usize, 1usize, 6usize),
         (6, 2, 7),
@@ -390,9 +390,6 @@ fn kstrip_sampled_p16_sweeps_agree() {
         (5, 48, 9),
         (7, 49, 3),
         (9, 333, 5),
-        // The (16,1) narrow K budget is exactly 8192 (13 guard bits), so
-        // the deepest batched reductions run as one full-length strip;
-        // deeper-than-one-strip shapes are pinned on (8,1) below.
         (3, 8191, 5),
         (2, 8192, 6),
     ] {
@@ -411,14 +408,14 @@ fn kstrip_sampled_p16_sweeps_agree() {
         };
         let a = PositPlane::from_bits(fmt, &gen_codes(m * k, true));
         let b = PositPlane::from_bits(fmt, &gen_codes(k * n, true));
-        let off = PositGemm::new(fmt, Rounding::NearestEven).kstrip(KStripMode::Off);
-        let force = PositGemm::new(fmt, Rounding::NearestEven).kstrip(KStripMode::Force);
-        assert!(force.uses_kstrip_path(0, k), "k={k} must batch");
-        let mut c_off = vec![0.0f32; m * n];
-        let mut c_force = vec![0.0f32; m * n];
-        off.gemm(m, k, n, &a, &b, &mut c_off);
-        force.gemm(m, k, n, &a, &b, &mut c_force);
-        for (i, (x, y)) in c_off.iter().zip(&c_force).enumerate() {
+        let fast = PositGemm::new(fmt, Rounding::NearestEven);
+        let wide = fast.wide_accumulator(true);
+        assert_eq!(fast.dot_bits(k), Some(128), "k={k} runs i64 words");
+        let mut c_fast = vec![0.0f32; m * n];
+        let mut c_wide = vec![0.0f32; m * n];
+        fast.gemm(m, k, n, &a, &b, &mut c_fast);
+        wide.gemm(m, k, n, &a, &b, &mut c_wide);
+        for (i, (x, y)) in c_fast.iter().zip(&c_wide).enumerate() {
             assert!(
                 x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
                 "{m}x{k}x{n} element {i}: {x} vs {y}"
@@ -427,18 +424,18 @@ fn kstrip_sampled_p16_sweeps_agree() {
     }
 }
 
-/// K-strip boundary crossing: posit(8,1)'s huge narrow budget admits
-/// reductions deeper than one 8192-element strip, so these shapes force
-/// the multi-strip flush/reset cycle (remainder strips included) and must
-/// still match the scalar kernel bit for bit.
+/// Deep posit(8,1) reductions past the `i64`-sum budget (k > 8192) run
+/// `i64` words with `i128` sums and must match the forced-wide quire bit
+/// for bit. (Named for the K-strip kernel's multi-strip shapes, which
+/// these are.)
 #[test]
 fn kstrip_multi_strip_shapes_agree() {
     let fmt = PositFormat::of(8, 1);
     let mut state = 0xBEE5_0000_DEAD_10CCu64;
     for (m, k, n) in [(3usize, 8193usize, 4usize), (2, 16385, 3), (5, 12000, 2)] {
         // NaR-free streams (NaR poisoning is pinned by the (16,1) sweep
-        // above): with NaR anywhere in a multi-strip column every output
-        // is NaN and the strip arithmetic goes untested.
+        // above): with NaR anywhere in a deep column every output is NaN
+        // and the sums go untested.
         let mut gen_codes = |len: usize| -> Vec<u64> {
             (0..len)
                 .map(|i| {
@@ -455,14 +452,183 @@ fn kstrip_multi_strip_shapes_agree() {
         };
         let a = PositPlane::from_bits(fmt, &gen_codes(m * k));
         let b = PositPlane::from_bits(fmt, &gen_codes(k * n));
-        let off = PositGemm::new(fmt, Rounding::NearestEven).kstrip(KStripMode::Off);
-        let force = PositGemm::new(fmt, Rounding::NearestEven).kstrip(KStripMode::Force);
-        assert!(force.uses_kstrip_path(0, k), "k={k} must batch");
-        let mut c_off = vec![0.0f32; m * n];
-        let mut c_force = vec![0.0f32; m * n];
-        off.gemm(m, k, n, &a, &b, &mut c_off);
-        force.gemm(m, k, n, &a, &b, &mut c_force);
-        assert_eq!(c_off, c_force, "{m}x{k}x{n}");
+        let fast = PositGemm::new(fmt, Rounding::NearestEven);
+        let wide = fast.wide_accumulator(true);
+        assert_eq!(fast.dot_bits(k), Some(128), "k={k} is past the i64 budget");
+        let mut c_fast = vec![0.0f32; m * n];
+        let mut c_wide = vec![0.0f32; m * n];
+        fast.gemm(m, k, n, &a, &b, &mut c_fast);
+        wide.gemm(m, k, n, &a, &b, &mut c_wide);
+        assert_eq!(c_fast, c_wide, "{m}x{k}x{n}");
+    }
+}
+
+/// The budget edges: at the last depth a path admits, `k` same-sign
+/// maxpos² products — the largest sum the budget must hold — equal the
+/// wide quire, and one more product moves to the next path (posit(8,1):
+/// `i64` sums up to 2^13 products, then `i128`; posit(16,1): `i128` sums
+/// up to 2^13, then the wide quire). A minpos² term rides along so the
+/// rounding sees a sticky bit far below the leading one.
+#[test]
+fn integer_budget_edges_match_the_wide_quire() {
+    for (fmt, last, next) in [
+        (PositFormat::of(8, 1), Some(64), Some(128)),
+        (PositFormat::of(16, 1), Some(128), None),
+    ] {
+        let k = 8192usize;
+        let kernel = PositGemm::new(fmt, Rounding::NearestEven);
+        assert_eq!(kernel.dot_bits(k), last, "{fmt} k={k}");
+        assert_eq!(kernel.dot_bits(k + 1), next, "{fmt} k={}", k + 1);
+        for depth in [k, k + 1] {
+            for sign in [false, true] {
+                let top = if sign {
+                    fmt.negate(fmt.maxpos_bits())
+                } else {
+                    fmt.maxpos_bits()
+                };
+                let mut a_codes = vec![top; depth];
+                let mut b_codes = vec![fmt.maxpos_bits(); depth];
+                a_codes[depth / 2] = fmt.minpos_bits();
+                b_codes[depth / 2] = fmt.minpos_bits();
+                let a = PositPlane::from_bits(fmt, &a_codes);
+                let b = PositPlane::from_bits(fmt, &b_codes);
+                for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+                    let fast = PositGemm::new(fmt, rounding);
+                    let mut c_fast = [0.0f32];
+                    let mut c_wide = [0.0f32];
+                    fast.gemm(1, depth, 1, &a, &b, &mut c_fast);
+                    fast.wide_accumulator(true)
+                        .gemm(1, depth, 1, &a, &b, &mut c_wide);
+                    assert_eq!(
+                        c_fast, c_wide,
+                        "{fmt} k={depth} negative={sign} {rounding:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `codes` packed into a storage plane of `fmt`.
+fn packed(fmt: PositFormat, codes: &[u64]) -> PackedBits {
+    let mut p = PackedBits::for_format(fmt, codes.len());
+    for &c in codes {
+        p.push(c);
+    }
+    p
+}
+
+/// Random finite codes of `fmt` whose values stay within `2^±window`
+/// (the i128 rational reference overflows on wider mixes).
+fn windowed_codes(fmt: PositFormat, len: usize, window: i32, state: &mut u64) -> Vec<u64> {
+    (0..len)
+        .map(|i| {
+            if i % 9 == 4 {
+                return 0;
+            }
+            loop {
+                let c = (lcg(state) >> 21) & fmt.mask();
+                let v = fmt.to_f64(c).abs();
+                let lim = (window as f64).exp2();
+                if c != fmt.nar_bits() && v >= 1.0 / lim && v <= lim {
+                    return c;
+                }
+            }
+        })
+        .collect()
+}
+
+/// The exact reference for `round(Σ_t a[t]·b[t] · 2^shift)`.
+fn shifted_dot_ref(fmt: PositFormat, a: &[u64], b: &[u64], shift: i32, rounding: Rounding) -> f32 {
+    let mut sum = Rational::ZERO;
+    for (&ca, &cb) in a.iter().zip(b) {
+        sum = sum.add(&exact(fmt, ca).mul(&exact(fmt, cb)));
+    }
+    let sum = sum.mul(&Rational::dyadic(1, shift));
+    fmt.to_f32(round_ref(&RefRounder::new(fmt), &sum, rounding))
+}
+
+/// A posit(16,1) GEMM over scale-shifted packed planes (`from_packed` with
+/// nonzero Eq. 2 exponents on both operands) against the exact rational
+/// reference: the shifts fold into the fixed point, not the words.
+#[test]
+fn scale_shifted_p16_gemm_matches_exact_rationals() {
+    let fmt = PositFormat::of(16, 1);
+    let mut state = 0x5CA1_E5ED_0016_0001u64;
+    let (m, k, n) = (5usize, 13usize, 7usize);
+    for (ea, eb) in [(3i32, -2i32), (-5, -4), (6, 1)] {
+        let a_codes = windowed_codes(fmt, m * k, 10, &mut state);
+        let bt_codes = windowed_codes(fmt, n * k, 10, &mut state);
+        let a = PositPlane::from_packed(fmt, &packed(fmt, &a_codes), ea);
+        let b_t = PositPlane::from_packed(fmt, &packed(fmt, &bt_codes), eb);
+        for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+            let kernel = PositGemm::new(fmt, rounding);
+            assert_eq!(kernel.dot_bits(k), Some(128));
+            let mut c = vec![0.0f32; m * n];
+            kernel.gemm_a_bt(m, k, n, &a, &b_t, &mut c);
+            for i in 0..m {
+                for j in 0..n {
+                    let want = shifted_dot_ref(
+                        fmt,
+                        &a_codes[i * k..(i + 1) * k],
+                        &bt_codes[j * k..(j + 1) * k],
+                        ea + eb,
+                        rounding,
+                    );
+                    assert_eq!(
+                        c[i * n + j].to_bits(),
+                        want.to_bits(),
+                        "shifts ({ea},{eb}) {rounding:?} ({i},{j})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A sampled posit(8,2) ΔW accumulation over scale-shifted packed planes
+/// against the exact rational reference: two calls with different shifts
+/// land in one fixed-point buffer (each dot left-shifted onto the
+/// buffer's fixed point) and round once.
+#[test]
+fn scale_shifted_p8e2_grad_accumulate_matches_exact_rationals() {
+    let fmt = PositFormat::of(8, 2);
+    let mut state = 0x0008_0002_D317_A5EDu64;
+    let (m, k, n) = (3usize, 11usize, 4usize);
+    let calls = [(2i32, -3i32), (-1, 1)];
+    let margin = 5;
+    for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+        let mut buf = GradQuireBuf::new(fmt, rounding, margin, 2 * k, m * n);
+        assert!(buf.is_narrow());
+        let mut sums = vec![Rational::ZERO; m * n];
+        for &(ea, eb) in &calls {
+            let a_codes = windowed_codes(fmt, m * k, 8, &mut state);
+            let bt_codes = windowed_codes(fmt, n * k, 8, &mut state);
+            let a = PositPlane::from_packed(fmt, &packed(fmt, &a_codes), ea);
+            let b_t = PositPlane::from_packed(fmt, &packed(fmt, &bt_codes), eb);
+            buf.accumulate_a_bt(m, k, n, &a, &b_t);
+            for i in 0..m {
+                for j in 0..n {
+                    let mut dot = Rational::ZERO;
+                    for t in 0..k {
+                        let (x, y) = (a_codes[i * k + t], bt_codes[j * k + t]);
+                        dot = dot.add(&exact(fmt, x).mul(&exact(fmt, y)));
+                    }
+                    sums[i * n + j] = sums[i * n + j].add(&dot.mul(&Rational::dyadic(1, ea + eb)));
+                }
+            }
+        }
+        let mut got = vec![0.0f32; m * n];
+        buf.round_into(&mut got);
+        let rounder = RefRounder::new(fmt);
+        for (idx, sum) in sums.iter().enumerate() {
+            let want = fmt.to_f32(round_ref(&rounder, sum, rounding));
+            assert_eq!(
+                got[idx].to_bits(),
+                want.to_bits(),
+                "{rounding:?} element {idx}"
+            );
+        }
     }
 }
 
