@@ -58,7 +58,7 @@ pub mod exact;
 pub use error::InvalidFormatError;
 pub use format::{FieldLayout, PositFormat};
 pub use quant::{PositQuantizer, ScaledQuantizer};
-pub use quire::{NarrowQuire, Quire};
+pub use quire::{NarrowQuire, Quire, Sum256};
 pub use rational::Dyadic;
 pub use round::Rounding;
 pub use typed::{Posit, P16E1, P16E2, P32E2, P32E3, P5E1, P8E0, P8E1, P8E2};

@@ -5,9 +5,13 @@
 //! the paper's related work). The `posit-quire` training backend runs every
 //! GEMM and every gradient sum through these accumulators: the tensor
 //! kernels sum fixed-point integer words and hand each exact sum to
-//! [`NarrowQuire::from_sum`] for its single rounding, and formats or depths
-//! beyond the `i128` budget fall back to the limb-array [`Quire`]. The f32
-//! backend keeps the paper's FP32 accumulation.
+//! [`NarrowQuire::from_sum`] (an `i128`) or, for posit(16,2) and the other
+//! formats whose dots need up to 256 bits, to [`Sum256`] (four stack
+//! limbs) for its single rounding. Formats or depths beyond 256 bits fall
+//! back to the heap limb-array [`Quire`], which also stays the reference
+//! oracle the fast paths are tested against and the hardware EMAC model.
+//! None of the three allocates when it rounds. The f32 backend keeps the
+//! paper's FP32 accumulation.
 
 use crate::format::PositFormat;
 use crate::round::Rounding;
@@ -236,76 +240,13 @@ impl Quire {
         }
     }
 
-    /// Round the accumulated value to a posit code word.
+    /// Round the accumulated value to a posit code word. The magnitude is
+    /// read out of the limbs in place, so rounding allocates nothing.
     pub fn to_posit(&self, rounding: Rounding, rand_word: u64) -> u64 {
         if self.nar {
             return self.fmt.nar_bits();
         }
-        let negative = self.words.last().unwrap() >> 63 == 1;
-        let mag: Vec<u64> = if negative {
-            // Two's-complement negate.
-            let mut out = Vec::with_capacity(self.words.len());
-            let mut carry = true;
-            for w in &self.words {
-                let (x, c1) = (!w).overflowing_add(carry as u64);
-                out.push(x);
-                carry = c1;
-            }
-            out
-        } else {
-            self.words.clone()
-        };
-        // Find the most significant set bit.
-        let mut hb: Option<usize> = None;
-        for (i, w) in mag.iter().enumerate().rev() {
-            if *w != 0 {
-                hb = Some(i * 64 + 63 - w.leading_zeros() as usize);
-                break;
-            }
-        }
-        let hb = match hb {
-            None => return 0,
-            Some(h) => h,
-        };
-        let scale = self.qmin + hb as i32;
-        // Extract the 64 bits below the msb as the fraction, then sticky.
-        let mut frac: u64 = 0;
-        for j in 0..64usize {
-            let idx = hb as isize - 1 - j as isize;
-            if idx < 0 {
-                break;
-            }
-            let bit = (mag[idx as usize / 64] >> (idx as usize % 64)) & 1;
-            frac |= bit << (63 - j);
-        }
-        let mut sticky = false;
-        if hb >= 65 {
-            let last = hb - 65; // highest sticky bit index
-            'outer: for (i, &w) in mag.iter().enumerate().take(last / 64 + 1) {
-                if i == last / 64 {
-                    let keep = (last % 64) + 1;
-                    let m = if keep == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << keep) - 1
-                    };
-                    if w & m != 0 {
-                        sticky = true;
-                    }
-                    break 'outer;
-                } else if w != 0 {
-                    sticky = true;
-                    break 'outer;
-                }
-            }
-        }
-        let sign = if negative {
-            Sign::Negative
-        } else {
-            Sign::Positive
-        };
-        self.fmt
-            .encode_fields(sign, scale, frac, sticky, rounding, rand_word)
+        round_limbs(self.fmt, &self.words, self.qmin, rounding, rand_word)
     }
 
     /// Approximate `f64` view of the accumulated value (top 64 bits).
@@ -532,6 +473,124 @@ impl NarrowQuire {
         self.fmt
             .encode_fields(sign, scale, frac, sticky, rounding, rand_word)
     }
+}
+
+/// An exact 256-bit two's-complement fixed-point sum: the stack twin of
+/// [`NarrowQuire::from_sum`] for formats whose exact dots overflow an
+/// `i128`. Every dot of an `n ≤ 16`, `es ≤ 2` format fits four limbs:
+/// posit(16,2) products span `4·max_scale = 224` bits (Deep Positron's
+/// EMAC sizing rule), which leaves carry guard for `2^29` of them. An
+/// integer dot kernel adds its partial sums with [`Sum256::add_shifted`]
+/// and hands the total to [`Sum256::to_posit`] for its single rounding;
+/// neither allocates.
+///
+/// ```
+/// use posit::{quire::Sum256, PositFormat, Quire, Rounding};
+///
+/// let fmt = PositFormat::of(16, 2);
+/// let a = fmt.from_f64(3.0, Rounding::NearestEven);
+/// let b = fmt.from_f64(-0.75, Rounding::NearestEven);
+/// let mut wide = Quire::new(fmt);
+/// wide.add_product(a, b);
+/// // 3 · −0.75 = −9 · 2^−2: the integer −9 at a fixed point of 2^−2.
+/// let mut sum = Sum256::default();
+/// sum.add_shifted(-9, 0);
+/// assert_eq!(
+///     sum.to_posit(fmt, -2, Rounding::NearestEven, 0),
+///     wide.to_posit(Rounding::NearestEven, 0),
+/// );
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sum256([u64; 4]);
+
+impl Sum256 {
+    /// `self += v · 2^shift`, modulo `2^256`: `v` sign-extends to 256
+    /// bits before the shift, and bits shifted past the top drop. The
+    /// caller's budget keeps the true sum inside the 256-bit range, so the
+    /// wrapped arithmetic is exact.
+    #[inline]
+    pub fn add_shifted(&mut self, v: i128, shift: u32) {
+        let ext = (v >> 127) as u64;
+        let src = [v as u64, (v >> 64) as u64, ext, ext];
+        let (q, r) = ((shift / 64) as usize, shift % 64);
+        let mut carry = false;
+        for i in q.min(4)..4 {
+            let lo = src[i - q] << r;
+            let word = if r == 0 || i == q {
+                lo
+            } else {
+                lo | src[i - q - 1] >> (64 - r)
+            };
+            let (w, c1) = self.0[i].overflowing_add(word);
+            let (w, c2) = w.overflowing_add(carry as u64);
+            self.0[i] = w;
+            carry = c1 | c2;
+        }
+    }
+
+    /// Round `self · 2^emin` to a code word of `fmt` — bit-identical to
+    /// [`Quire::to_posit`] on the same value. A sum that fits an `i128`
+    /// (the top two limbs only sign-extend the low two) takes the
+    /// [`NarrowQuire`] rounding.
+    pub fn to_posit(&self, fmt: PositFormat, emin: i32, rounding: Rounding, rand_word: u64) -> u64 {
+        let [lo, mid, hi, top] = self.0;
+        let ext = ((mid as i64) >> 63) as u64;
+        if hi == ext && top == ext {
+            let sum = (mid as i128) << 64 | lo as i128;
+            return NarrowQuire::from_sum(fmt, emin, sum).to_posit(rounding, rand_word);
+        }
+        round_limbs(fmt, &self.0, emin, rounding, rand_word)
+    }
+}
+
+/// Round the little-endian two's-complement limbs `words · 2^qmin` to a
+/// code word of `fmt`. The magnitude of a negative sum is read in place:
+/// limbs below the lowest non-zero one negate to 0, that limb to its
+/// two's complement, and every limb above it to its complement.
+fn round_limbs(
+    fmt: PositFormat,
+    words: &[u64],
+    qmin: i32,
+    rounding: Rounding,
+    rand_word: u64,
+) -> u64 {
+    let Some(low) = words.iter().position(|&w| w != 0) else {
+        return 0;
+    };
+    let negative = words[words.len() - 1] >> 63 == 1;
+    let mag = |i: usize| -> u64 {
+        use std::cmp::Ordering::*;
+        match (negative, i.cmp(&low)) {
+            (false, _) => words[i],
+            (true, Less) => 0,
+            (true, Equal) => words[i].wrapping_neg(),
+            (true, Greater) => !words[i],
+        }
+    };
+    let top = (low..words.len())
+        .rev()
+        .find(|&i| mag(i) != 0)
+        .expect("a non-zero sum has a leading limb");
+    let hb = (top * 64 + 63 - mag(top).leading_zeros() as usize) as i64; // msb position
+                                                                         // The 64 bits below the msb, `[hb − 64, hb)`, become the fraction
+                                                                         // (bits below 0 read as zeros); any set bit further down is sticky.
+                                                                         // Negation keeps the trailing zeros, so the lowest set bit of the
+                                                                         // magnitude is the lowest set bit of the limbs.
+    let p = hb - 64;
+    let (li, off) = (p.div_euclid(64), p.rem_euclid(64) as u32);
+    let limb = |i: i64| if i < 0 { 0 } else { mag(i as usize) };
+    let frac = if off == 0 {
+        limb(li)
+    } else {
+        limb(li) >> off | limb(li + 1) << (64 - off)
+    };
+    let lsb = (low * 64) as i64 + words[low].trailing_zeros() as i64;
+    let sign = if negative {
+        Sign::Negative
+    } else {
+        Sign::Positive
+    };
+    fmt.encode_fields(sign, qmin + hb as i32, frac, lsb < p, rounding, rand_word)
 }
 
 /// Exact dot product of two posit vectors, rounded once at the end
@@ -940,6 +999,96 @@ mod tests {
         assert_eq!(q.to_posit(Rounding::NearestEven, 0), 0);
         q.add_product(fmt.nar_bits(), fmt.one_bits());
         assert!(q.is_nar(), "decoded NaR absorbs");
+    }
+
+    #[test]
+    fn sum256_add_shifted_sign_extends_and_wraps() {
+        let mut s = Sum256::default();
+        s.add_shifted(-1, 0);
+        assert_eq!(s.0, [u64::MAX; 4], "−1 sign-extends through every limb");
+        s.add_shifted(1, 0);
+        assert_eq!(
+            s,
+            Sum256::default(),
+            "the carry ripples out of the top limb"
+        );
+        // A value straddling limbs at an unaligned shift, then its negation.
+        s.add_shifted(0x1234_5678_9ABC_DEF0_1122_3344_5566_7788, 100);
+        assert_eq!(s.0[0], 0);
+        assert_eq!(s.0[1], 0x5566_7788 << 36);
+        s.add_shifted(-0x1234_5678_9ABC_DEF0_1122_3344_5566_7788, 100);
+        assert_eq!(s, Sum256::default());
+        // The top bit, twice, wraps to zero; shifts at or past 256 drop.
+        s.add_shifted(1, 255);
+        s.add_shifted(1, 255);
+        s.add_shifted(i128::MAX, 256);
+        assert_eq!(s, Sum256::default());
+    }
+
+    #[test]
+    fn sum256_rounds_like_the_wide_quire() {
+        // Random posit(16,2) dots, each product added as its 24-bit
+        // significand product at its scale (fixed point 2^(2·min_scale −
+        // 22)), against the limb quire: mixed magnitudes, cancellation to
+        // small and negative totals, zero, and both deterministic modes.
+        let fmt = PositFormat::of(16, 2);
+        let emin = 2 * fmt.min_scale() - 22;
+        let mut state = 0x2562_5600_DEAD_BEEFu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 20
+        };
+        // One product into both accumulators; zero and NaR are skipped.
+        let add = |wide: &mut Quire, sum: &mut Sum256, a: u64, b: u64| {
+            if let (PositValue::Finite(da), PositValue::Finite(db)) = (fmt.decode(a), fmt.decode(b))
+            {
+                wide.add_product(a, b);
+                let p = ((da.significand() >> 52) * (db.significand() >> 52)) as i128;
+                let shift = (da.scale + db.scale - 22 - emin) as u32;
+                sum.add_shifted(if da.sign != db.sign { -p } else { p }, shift);
+            }
+        };
+        for trial in 0..400 {
+            let mut wide = Quire::new(fmt);
+            let mut sum = Sum256::default();
+            let codes: Vec<(u64, u64)> = (0..1 + trial % 23)
+                .map(|_| (next() & fmt.mask(), next() & fmt.mask()))
+                .collect();
+            for &(a, b) in &codes {
+                add(&mut wide, &mut sum, a, b);
+            }
+            if trial % 3 == 0 {
+                // Cancel the first product exactly.
+                add(&mut wide, &mut sum, fmt.negate(codes[0].0), codes[0].1);
+            }
+            assert_eq!(sum == Sum256::default(), wide.is_zero(), "trial {trial}");
+            for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+                assert_eq!(
+                    sum.to_posit(fmt, emin, rounding, 0),
+                    wide.to_posit(rounding, 0),
+                    "trial {trial} {rounding:?}"
+                );
+            }
+        }
+        // The extremes of the 256-bit range: ±maxpos² next to minpos².
+        for sign in [1i128, -1] {
+            let (max, min) = (fmt.maxpos_bits(), fmt.minpos_bits());
+            let mut wide = Quire::new(fmt);
+            wide.add_product(if sign < 0 { fmt.negate(max) } else { max }, max);
+            wide.add_product(min, min);
+            let mut sum = Sum256::default();
+            sum.add_shifted(sign << 22, (4 * fmt.max_scale()) as u32);
+            sum.add_shifted(1 << 22, 0);
+            for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+                assert_eq!(
+                    sum.to_posit(fmt, emin, rounding, 0),
+                    wide.to_posit(rounding, 0),
+                    "sign {sign} {rounding:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -57,10 +57,12 @@ pub fn planned_lanes(m: usize, work: usize) -> usize {
 /// each block's output is computed entirely by whichever lane runs it —
 /// so any kernel whose per-element reduction order is fixed stays
 /// bit-deterministic regardless of thread count or lane assignment. Shared
-/// by the f32 kernels here and the posit kernels in [`crate::posit_gemm`].
-pub(crate) fn par_rows<F>(m: usize, n: usize, work: usize, c: &mut [f32], body: F)
+/// by the f32 kernels here, the posit kernels in [`crate::posit_gemm`] and
+/// the exact gradient buffers in [`crate::grad_accum`] (whose slots are
+/// `i128` or 256-bit sums, hence the generic element).
+pub(crate) fn par_rows<T: Send, F>(m: usize, n: usize, work: usize, c: &mut [T], body: F)
 where
-    F: Fn(usize, &mut [f32]) + Sync,
+    F: Fn(usize, &mut [T]) + Sync,
 {
     debug_assert_eq!(c.len(), m * n);
     let threads = workers::effective_parallelism();
@@ -72,7 +74,7 @@ where
     // The same block boundaries the scoped-thread splitter used: hand each
     // task its disjoint `&mut` chunk through a take-once slot (each index
     // is executed exactly once, so the lock is uncontended bookkeeping).
-    let mut blocks: Vec<BlockSlot<'_, f32>> = Vec::new();
+    let mut blocks: Vec<BlockSlot<'_, T>> = Vec::new();
     let mut c_rest = c;
     let mut row0 = 0usize;
     loop {

@@ -1,30 +1,42 @@
-//! Exact gradient accumulation buffers for deterministic sharded steps.
+//! Exact gradient accumulation: one accumulator per weight, one rounding
+//! per training step.
 //!
-//! A training step may split its mini-batch into row shards that run one
-//! after another. With f32 partial sums the split leaks into the result —
-//! the reason sharded and distributed training is famously
-//! non-reproducible. The quire removes the leak: every product of a
-//! gradient GEMM lands in an exact fixed-point accumulator, every shard
-//! adds into the *same* accumulator, and the batch's sum rounds to a posit
-//! exactly once. The rounded gradient is therefore a pure function of the
-//! product multiset — independent of shard count, shard boundaries and
-//! accumulation order.
+//! A training step computes its mini-batch's `ΔW` in one batch, and every
+//! product of every gradient GEMM lands in an exact fixed-point
+//! accumulator. The batch's sum then rounds to a posit exactly once. The
+//! rounded gradient is therefore a pure function of the product multiset:
+//! it does not depend on how the layer splits its calls (a conv layer
+//! makes one per sample), on their order, or on the thread count.
 //!
 //! [`GradQuireBuf`] packages that for a whole gradient tensor: one exact
 //! accumulator per element, a single [`GradQuireBuf::round_into`] at the
-//! end of the batch, and the kernels' zero/NaR element conventions. When
-//! the *whole batch's* reduction depth `k_total` fits (the same accounting
-//! as [`NarrowQuire::try_new`], so no shard can overflow it), each
-//! accumulator is one `i128` fixed-point sum: every call computes its dots
-//! with the GEMM kernels' integer loop (`posit_gemm::word_dots`)
-//! and adds each, shifted onto the buffer's fixed point, into its `i128`.
-//! Otherwise each element gets a wide limb-array [`Quire`].
+//! end of the batch, and the kernels' zero/NaR element conventions. The
+//! whole batch's reduction depth `k_total` and the operands' scale-shift
+//! `margin` pick one of three representations ([`GradQuireBuf::sum_bits`]):
+//!
+//! * **`i128`**, when `4·max_scale + 2·margin + 2 + ⌈log2 k_total⌉ ≤ 127`
+//!   (the [`posit::NarrowQuire::try_new`] budget): posit(8,·) and
+//!   posit(16,1);
+//! * **256 bits** (a [`Sum256`], four stack limbs), when the same sum is
+//!   `≤ 255` and every call's significand dot fits its `i128` lanes:
+//!   posit(16,2), the paper's 16-bit error format;
+//! * the heap limb-array [`Quire`] otherwise.
+//!
+//! Both fixed-point representations carry one NaR flag per element. Every
+//! call converts its operands to words once, computes its dots with the
+//! GEMM kernels' integer loop (`posit_gemm::word_dots`) on the worker
+//! pool, and adds each dot, shifted onto the buffer's fixed point, into
+//! its element's sum.
 
-use crate::posit_gemm::{dot_bits, side, word_dots, PositPlane, Side, Unpacked, Word, WordPanel};
-use posit::{NarrowQuire, PositFormat, Quire, Rounding};
+use crate::gemm::par_rows;
+use crate::posit_gemm::{
+    clog2, code_to_f32, dot_bits, lanes_fit, side, word_dots, Exact, Grid, PositPlane, Side,
+    SigWord, Unpacked, Word, WordPanel,
+};
+use posit::{PositFormat, Quire, Rounding, Sum256};
 
-/// One exact quire accumulator per gradient element, fed by every shard
-/// of a batch and rounded once per optimizer step.
+/// One exact quire accumulator per gradient element, fed by every call of
+/// a batch and rounded once per optimizer step.
 #[derive(Debug, Clone)]
 pub struct GradQuireBuf {
     fmt: PositFormat,
@@ -33,19 +45,17 @@ pub struct GradQuireBuf {
     accs: Accs,
 }
 
+/// The per-element sums. The fixed-point sums are in units of `2^emin`,
+/// `emin = 2·min_scale − margin`: the lowest fixed point any operand pair
+/// inside the margin can produce, so every call's dots align to it with an
+/// exact left shift of `e_a + e_b + margin ≤ 2·margin` bits. The whole
+/// batch then stays under `2^(4·max_scale + 2·margin + ⌈log2 k_total⌉)` in
+/// magnitude — the budget [`GradQuireBuf::sum_bits`] checks, shift
+/// included.
 #[derive(Debug, Clone)]
 enum Accs {
-    /// Exact sums in units of `2^emin`, `emin = 2·min_scale − margin`:
-    /// the lowest fixed point any operand pair inside the margin can
-    /// produce, so every call's dots align to it with an exact left shift
-    /// of `e_a + e_b + margin ≤ 2·margin` bits. The whole batch then stays
-    /// under `2^(4·max_scale + 2·margin + ⌈log2 k_total⌉)` in magnitude —
-    /// the [`NarrowQuire::try_new`] budget, shift included.
-    Fixed {
-        emin: i32,
-        sums: Vec<i128>,
-        nar: Vec<bool>,
-    },
+    Fixed128 { sums: Vec<i128>, nar: Vec<bool> },
+    Fixed256 { sums: Vec<Sum256>, nar: Vec<bool> },
     Wide(Vec<Quire>),
 }
 
@@ -54,9 +64,9 @@ impl GradQuireBuf {
     /// operand planes carry at most `margin` total scale-shift bits.
     ///
     /// `k_total` is the reduction depth of the *whole* batch (every product
-    /// that will ever be accumulated into one element, across all shards):
-    /// it drives the fixed-point-vs-wide choice, so the batch's total can
-    /// never overflow the chosen representation.
+    /// that will ever be accumulated into one element, across all calls):
+    /// it picks the representation, so the batch's total can never
+    /// overflow it.
     ///
     /// [`Rounding::Stochastic`] degrades to nearest-even like the kernels
     /// (no per-element random stream here either).
@@ -72,12 +82,13 @@ impl GradQuireBuf {
         } else {
             rounding
         };
-        // The budget implies `4·max_scale + 2 ≤ 127`, so the format's
-        // words fit an i64 and every call's dot has an integer loop.
-        let accs = match NarrowQuire::try_new(fmt, margin, k_total.max(1)) {
-            Some(_) => Accs::Fixed {
-                emin: 2 * fmt.min_scale() - margin as i32,
+        let accs = match GradQuireBuf::sum_bits(fmt, margin, k_total) {
+            Some(128) => Accs::Fixed128 {
                 sums: vec![0; len],
+                nar: vec![false; len],
+            },
+            Some(_) => Accs::Fixed256 {
+                sums: vec![Sum256::default(); len],
                 nar: vec![false; len],
             },
             None => Accs::Wide(vec![Quire::with_margin(fmt, margin); len]),
@@ -90,10 +101,31 @@ impl GradQuireBuf {
         }
     }
 
+    /// The width of the per-element sum a buffer for `fmt`, `margin` and
+    /// `k_total` keeps: `Some(128)` (an `i128`), `Some(256)` (a
+    /// [`Sum256`]) or `None` (a wide [`Quire`]).
+    ///
+    /// `need = 4·max_scale + 2·margin + 2 + ⌈log2 k_total⌉` bounds the
+    /// batch's sum as above. `need ≤ 127` implies `2·max_scale ≤ 62`, and
+    /// every call's `k ≤ k_total` then has a 64- or 128-bit dot. The
+    /// 256-bit sums run every call on significand words, whose lanes must
+    /// hold a depth-`k_total` dot.
+    pub fn sum_bits(fmt: PositFormat, margin: u32, k_total: usize) -> Option<u32> {
+        let need = 4 * fmt.max_scale() as u32 + 2 * margin + 2 + clog2(k_total);
+        if need <= 127 {
+            Some(128)
+        } else if need <= 255 && lanes_fit(fmt, k_total) {
+            Some(256)
+        } else {
+            None
+        }
+    }
+
     /// Accumulator count (one per gradient element).
     pub fn len(&self) -> usize {
         match &self.accs {
-            Accs::Fixed { sums, .. } => sums.len(),
+            Accs::Fixed128 { sums, .. } => sums.len(),
+            Accs::Fixed256 { sums, .. } => sums.len(),
             Accs::Wide(v) => v.len(),
         }
     }
@@ -108,11 +140,6 @@ impl GradQuireBuf {
         self.fmt
     }
 
-    /// True iff the `i128` fixed-point representation was chosen.
-    pub fn is_narrow(&self) -> bool {
-        matches!(self.accs, Accs::Fixed { .. })
-    }
-
     fn check_operands(&self, a: &PositPlane, b: &PositPlane) {
         assert_eq!(a.format(), self.fmt, "A plane format");
         assert_eq!(b.format(), self.fmt, "B plane format");
@@ -124,15 +151,14 @@ impl GradQuireBuf {
 
     /// `buf[i, j] += dot(a_i, b_j)` over the panel rows of both sides.
     fn accumulate(&mut self, m: usize, k: usize, n: usize, a: Side<'_>, b: Side<'_>) {
+        let shift = (a.plane.scale_exp() + b.plane.scale_exp() + self.margin as i32) as u32;
         match &mut self.accs {
-            Accs::Fixed { sums, nar, .. } => {
-                let shift = (a.plane.scale_exp() + b.plane.scale_exp() + self.margin as i32) as u32;
-                match dot_bits(self.fmt, k) {
-                    Some(64) => add_dots::<i32, 4>(sums, nar, m, k, n, a, b, shift),
-                    Some(_) => add_dots::<i64, 2>(sums, nar, m, k, n, a, b, shift),
-                    None => unreachable!("the buffer budget covers every call's dot"),
-                }
-            }
+            Accs::Fixed128 { sums, nar } => match dot_bits(self.fmt, k) {
+                Some(64) => add_dots::<i32, 4>(sums, nar, m, k, n, a, b, shift),
+                Some(128) => add_dots::<i64, 2>(sums, nar, m, k, n, a, b, shift),
+                _ => unreachable!("the buffer budget covers every call's dot"),
+            },
+            Accs::Fixed256 { sums, nar } => add_dots::<SigWord, 4>(sums, nar, m, k, n, a, b, shift),
             Accs::Wide(v) => {
                 // The two layouts the public entry points pass: both
                 // sides transposed (`[k, m]`, `[k, n]`) or neither.
@@ -227,21 +253,14 @@ impl GradQuireBuf {
         );
         assert_eq!(p.len(), rows * cols, "plane length");
         let pe = p.elems();
+        // x·1 in buffer units: word(x) · word(1) = word(x) · 2^max_scale,
+        // shifted by e + margin ≥ 0 — at most 2^(3·max_scale + 2·margin)
+        // per term, inside the budget.
+        let shift = (self.fmt.max_scale() + p.scale_exp() + self.margin as i32) as u32;
         match &mut self.accs {
-            Accs::Fixed { sums, nar, .. } => {
-                // x·1 in buffer units: word(x) · word(1) = word(x) ·
-                // 2^max_scale, shifted by e + margin ≥ 0 — at most
-                // 2^(3·max_scale + 2·margin) per term, inside the budget.
-                let fmt = self.fmt;
-                let base = 63 + fmt.min_scale() + p.scale_exp();
-                let shift = (fmt.max_scale() + p.scale_exp() + self.margin as i32) as u32;
-                for r in 0..rows {
-                    for (c, &x) in pe[r * cols..(r + 1) * cols].iter().enumerate() {
-                        let i = idx(r, c);
-                        nar[i] |= x.is_nar();
-                        sums[i] += (crate::posit_gemm::word_of(x, base) as i128) << shift;
-                    }
-                }
+            Accs::Fixed128 { sums, nar } => add_values::<i64>(sums, nar, rows, cols, p, shift, idx),
+            Accs::Fixed256 { sums, nar } => {
+                add_values::<SigWord>(sums, nar, rows, cols, p, shift, idx)
             }
             Accs::Wide(v) => {
                 for r in 0..rows {
@@ -279,47 +298,53 @@ impl GradQuireBuf {
     }
 
     /// Round every accumulator once and add the results into `out` — the
-    /// single `P(·)` edge of the whole batch's gradient, bit-identical to a
-    /// one-shard run because the exact sums are.
+    /// single `P(·)` edge of the whole batch's gradient, the same however
+    /// the batch's calls were split or ordered because the exact sums are.
+    /// Large buffers round on the worker pool, in the static row blocks of
+    /// the GEMMs.
     ///
     /// # Panics
     ///
     /// Panics if `out` has a different length.
     pub fn round_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.len(), "output length");
-        let lut = posit::lut::to_f32_lut(self.fmt);
-        let store = |code: u64, o: &mut f32| {
-            *o += match lut {
-                Some(l) => l[code as usize],
-                None => self.fmt.to_f32(code),
-            };
-        };
+        let (fmt, rounding) = (self.fmt, self.rounding);
+        let emin = 2 * fmt.min_scale() - self.margin as i32;
         match &self.accs {
-            Accs::Fixed { emin, sums, nar } => {
-                for ((&s, &poisoned), o) in sums.iter().zip(nar).zip(out) {
-                    let mut q = NarrowQuire::from_sum(self.fmt, *emin, s);
-                    if poisoned {
-                        q.set_nar();
-                    }
-                    store(q.to_posit(self.rounding, 0), o);
-                }
+            Accs::Fixed128 { sums, nar } => {
+                self.store(out, |i| sums[i].round(fmt, emin, nar[i], rounding))
             }
-            Accs::Wide(v) => {
-                for (q, o) in v.iter().zip(out) {
-                    store(q.to_posit(self.rounding, 0), o);
-                }
+            Accs::Fixed256 { sums, nar } => {
+                self.store(out, |i| sums[i].round(fmt, emin, nar[i], rounding))
             }
+            Accs::Wide(v) => self.store(out, |i| v[i].to_posit(rounding, 0)),
         }
+    }
+
+    /// `out[i] += code(i)` as f32, on the pool for large buffers.
+    fn store(&self, out: &mut [f32], code: impl Fn(usize) -> u64 + Sync) {
+        let lut = posit::lut::to_f32_lut(self.fmt);
+        let len = out.len();
+        par_rows(len, 1, len * ROUND_WORK, out, |i0, block| {
+            for (i, o) in block.iter_mut().enumerate() {
+                *o += code_to_f32(self.fmt, lut, code(i0 + i));
+            }
+        });
     }
 }
 
-/// The fixed-point accumulate: both sides become word panels, the integer
-/// loop computes each call's exact dot in a register, and the dot lands in
-/// its element's `i128` shifted left by `shift` onto the buffer's fixed
-/// point.
+/// What rounding one exact sum costs, in integer multiply-accumulates:
+/// the work [`GradQuireBuf::round_into`] declares to the pool's
+/// thresholds per element.
+const ROUND_WORK: usize = 32;
+
+/// The fixed-point accumulate: both sides become word panels, the row
+/// blocks run the integer loop on the pool, and each call's exact dot
+/// lands in its element's sum shifted left by `shift` onto the buffer's
+/// fixed point.
 #[allow(clippy::too_many_arguments)]
 fn add_dots<W: Word, const TN: usize>(
-    sums: &mut [i128],
+    sums: &mut [W::Exact],
     nar: &mut [bool],
     m: usize,
     k: usize,
@@ -330,10 +355,42 @@ fn add_dots<W: Word, const TN: usize>(
 ) {
     let ap = WordPanel::<W>::build(a, k);
     let bp = WordPanel::<W>::build(b, k);
-    word_dots::<W, TN>(&ap.words, &bp.words, m, k, n, |i, j, dot| {
-        sums[i * n + j] += dot << shift;
-        nar[i * n + j] |= ap.nar[i] || bp.nar[j];
+    par_rows(m, n, m * k * n, sums, |row0, block| {
+        let rows = block.len().checked_div(n).unwrap_or(0);
+        let a_block = &ap.words[row0 * k..(row0 + rows) * k];
+        word_dots::<W, TN>(a_block, &bp.words, rows, k, n, |i, j, dot| {
+            W::add_sum(&mut block[i * n + j], dot, shift);
+        });
     });
+    if ap.nar.iter().chain(&bp.nar).any(|&x| x) {
+        for (i, row) in nar.chunks_exact_mut(n.max(1)).take(m).enumerate() {
+            for (poisoned, &b_nar) in row.iter_mut().zip(&bp.nar) {
+                *poisoned |= ap.nar[i] || b_nar;
+            }
+        }
+    }
+}
+
+/// `sums[idx(r, c)] += p[r, c] · 2^shift` over a `[rows, cols]` plane,
+/// each value as its word on the plane's grid.
+fn add_values<W: Word>(
+    sums: &mut [W::Exact],
+    nar: &mut [bool],
+    rows: usize,
+    cols: usize,
+    p: &PositPlane,
+    shift: u32,
+    idx: impl Fn(usize, usize) -> usize,
+) {
+    let grid = Grid::of(p);
+    let pe = p.elems();
+    for r in 0..rows {
+        for (c, &x) in pe[r * cols..(r + 1) * cols].iter().enumerate() {
+            let i = idx(r, c);
+            nar[i] |= x.is_nar();
+            W::add_word(&mut sums[i], W::from_elem(x, grid), shift);
+        }
+    }
 }
 
 /// One multiply-accumulate into a wide accumulator, with the kernels'
@@ -519,20 +576,68 @@ mod tests {
     }
 
     #[test]
+    fn pooled_accumulate_and_rounding_match_serial() {
+        // A shape past the pool's work threshold, in both fixed-point
+        // representations: the row blocks of the pooled accumulate and
+        // rounding must give the serial run's bits.
+        let (m, k, n) = (64, 32, 512);
+        let dy: Vec<f32> = (0..k * m)
+            .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.011)
+            .collect();
+        let x: Vec<f32> = (0..k * n)
+            .map(|i| ((i * 53 % 89) as f32 - 44.0) * 0.07)
+            .collect();
+        for (fmt, bits) in [(PositFormat::of(8, 2), 128), (PositFormat::of(16, 2), 256)] {
+            assert_eq!(GradQuireBuf::sum_bits(fmt, 0, k), Some(bits));
+            let run = || {
+                let mut buf = GradQuireBuf::new(fmt, Rounding::ToZero, 0, k, m * n);
+                buf.accumulate_at_b(m, k, n, &plane(fmt, &dy), &plane(fmt, &x));
+                let mut out = vec![0.0f32; m * n];
+                buf.round_into(&mut out);
+                out
+            };
+            let pooled = run();
+            let serial = crate::workers::serial_scope(run);
+            assert_eq!(pooled, serial, "{fmt}");
+        }
+    }
+
+    #[test]
     fn deep_k_total_picks_the_wide_representation() {
-        // (16,1) narrows up to K=8192; a batch-wide reduction depth beyond
-        // that must fall back to wide quires — and still accumulate and
-        // round the same values.
-        let fmt = PositFormat::of(16, 1);
-        let narrow = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, 8192, 4);
-        assert!(narrow.is_narrow());
-        let wide = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, 8193, 4);
-        assert!(!wide.is_narrow());
-        let xs = [1.5f32, -0.25, 3.0, 0.0625];
-        let mut a = GradQuireBuf::new(fmt, Rounding::NearestEven, 0, 8193, 4);
-        a.accumulate_col_sums(1, 4, &plane(fmt, &xs));
-        let mut out = vec![0.0f32; 4];
-        a.round_into(&mut out);
-        assert_eq!(out, xs.to_vec());
+        // Each representation up to its budget edge, then the next one —
+        // and each still accumulates and rounds the same values:
+        // (16,1) keeps an i128 up to K = 8192 and moves to 256 bits past
+        // it; (16,2) holds 256 bits up to 2^(255 − 224 − 2·margin − 2)
+        // and falls back to the limb quire beyond.
+        let p16e1 = PositFormat::of(16, 1);
+        let p16e2 = PositFormat::of(16, 2);
+        for (fmt, margin, edge, last, next) in [
+            (p16e1, 0, 8192, Some(128), Some(256)),
+            (p16e2, 8, 8192, Some(256), None),
+            (p16e2, 0, 1 << 29, Some(256), None),
+        ] {
+            assert_eq!(
+                GradQuireBuf::sum_bits(fmt, margin, edge),
+                last,
+                "{fmt} margin {margin}"
+            );
+            assert_eq!(
+                GradQuireBuf::sum_bits(fmt, margin, edge + 1),
+                next,
+                "{fmt} margin {margin}"
+            );
+            let xs = [1.5f32, -0.25, 3.0, 0.0625];
+            for k_total in [edge, edge + 1] {
+                let mut a = GradQuireBuf::new(fmt, Rounding::NearestEven, margin, k_total, 4);
+                a.accumulate_col_sums(1, 4, &plane(fmt, &xs));
+                a.accumulate_col_sums(1, 4, &plane(fmt, &xs));
+                let mut out = vec![0.0f32; 4];
+                a.round_into(&mut out);
+                let want: Vec<f32> = xs.iter().map(|x| 2.0 * x).collect();
+                assert_eq!(out, want, "{fmt} margin {margin} k_total {k_total}");
+            }
+        }
+        // The mlp16 fc1 ΔW: margin 8, a batch of 32 — 247 bits.
+        assert_eq!(GradQuireBuf::sum_bits(p16e2, 8, 32), Some(256));
     }
 }

@@ -14,15 +14,18 @@
 //! The per-MAC work is the integer multiply-accumulate of the paper's MAC
 //! (Figs. 4–6) and of Deep Positron's EMAC:
 //!
-//! * **fixed-point words** — for every format whose words fit an `i64`
-//!   (posit(8, es ≤ 2) and posit(16,1), every format the paper trains
-//!   with except posit(16,2)), each operand element becomes the integer
-//!   `w = value / 2^min_scale` once per call. A dot is then a plain
-//!   `i32×i32→i64` or `i64×i64→i128` multiply-accumulate loop in
-//!   register tiles (`word_dots`), and each exact sum rounds once
-//!   through [`NarrowQuire::from_sum`]. The budgets are proved on
-//!   `dot_bits`; anything outside them falls back to the limb-array
-//!   [`Quire`] — bit-identically;
+//! * **fixed-point words** — each operand element becomes the integer
+//!   `w = value / 2^min_scale` once per call. For every format whose
+//!   words fit an `i64` (posit(8, es ≤ 2) and posit(16,1)), a dot is a
+//!   plain `i32×i32→i64` or `i64×i64→i128` multiply-accumulate loop in
+//!   register tiles (`word_dots`), and each exact sum rounds once through
+//!   [`NarrowQuire::from_sum`]. posit(16,2), the paper's 16-bit error
+//!   format, spans 224 bits: its words are split into a 12-bit signed
+//!   significand and a shift, the same loop adds each product into one of
+//!   four `i128` lanes by its shift, and the lanes fold into a 256-bit
+//!   [`Sum256`] that rounds once, all on the stack. The budgets are
+//!   proved on `dot_bits`; anything outside them falls back to the
+//!   limb-array [`Quire`] — bit-identically;
 //! * **decode LUTs** — ≤8-bit formats decode operand planes through a
 //!   256-entry [`Unpacked`] table and round back to f32 on store through
 //!   [`posit::lut::to_f32_lut`], replacing per-element bit-twiddling.
@@ -37,12 +40,13 @@
 //! against exact rational arithmetic.
 
 use crate::gemm::par_rows;
-use posit::{NarrowQuire, PositFormat, PositValue, Quire, Rounding};
+use posit::{NarrowQuire, PositFormat, PositValue, Quire, Rounding, Sum256};
 use std::sync::OnceLock;
 
 /// Cached handles for the kernel-path counters (`tensor.*` namespace in
-/// the global [`posit_obs::Registry`]). Which path fired — integer loop
-/// (`narrow_calls`) vs wide accumulator, SWAR vs LUT vs bit-twiddle
+/// the global [`posit_obs::Registry`]). Which path fired — a fixed-width
+/// integer loop of 64, 128 or 256 bits (`narrow_calls`) vs the heap limb
+/// quire (`wide_calls`), SWAR vs LUT vs bit-twiddle
 /// decode — is invisible in the results (all paths are bit-identical by
 /// construction), so these counters are the only way to see what actually
 /// ran. Recording is per *call* (per output for NaR outputs),
@@ -455,10 +459,29 @@ fn transpose_elems(src: &[Unpacked], rows: usize, cols: usize) -> Vec<Unpacked> 
     out
 }
 
+/// `⌈log2 k⌉` (0 for `k ≤ 1`): the carry bits a `k`-term sum can add.
+pub(crate) fn clog2(k: usize) -> u32 {
+    k.max(1).next_power_of_two().trailing_zeros()
+}
+
+/// The significand width of `fmt`'s posits, hidden one included: the
+/// `n − 3 − es` fraction bits a posit keeps next to the shortest regime,
+/// plus one. Longer regimes only ever leave fewer.
+fn sig_bits(fmt: PositFormat) -> u32 {
+    (fmt.n() as i32 - 2 - fmt.es() as i32).max(1) as u32
+}
+
+/// True when a depth-`k` dot of `fmt`'s [`SigWord`]s cannot overflow its
+/// `i128` lanes: `2·sig_bits + 63 + ⌈log2 k⌉ ≤ 127` (see [`dot_bits`]).
+pub(crate) fn lanes_fit(fmt: PositFormat, k: usize) -> bool {
+    2 * sig_bits(fmt) + 63 + clog2(k) <= 127
+}
+
 /// The width in bits of the exact integer sum a depth-`k` dot of `fmt`
 /// words runs in: `Some(64)` for `i32` words summed in an `i64`,
-/// `Some(128)` for `i64` words summed in an `i128`, `None` when the dot
-/// needs the wide [`Quire`].
+/// `Some(128)` for `i64` words summed in an `i128`, `Some(256)` for
+/// [`SigWord`]s summed in four `i128` lanes and folded into a [`Sum256`],
+/// `None` when the dot needs the wide [`Quire`].
 ///
 /// A word is `w = value / 2^min_scale` (see [`posit::lut::fixed_word`]):
 /// an integer, with `|w| ≤ maxpos / minpos = 2^(2·max_scale)`. So
@@ -468,68 +491,198 @@ fn transpose_elems(src: &[Unpacked], rows: usize, cols: usize) -> Vec<Unpacked> 
 /// * a product of two words is at most `2^(4·max_scale)` in magnitude, so
 ///   every partial sum of a `k`-term dot is at most
 ///   `2^(4·max_scale + ⌈log2 k⌉)`. The `i64` sum is exact when
-///   `4·max_scale + 2 + ⌈log2 k⌉ ≤ 63`, and the `i128` sum when
-///   `4·max_scale + 2 + ⌈log2 k⌉ ≤ 127` — one bit to spare below the sign
-///   bit, the same accounting as [`NarrowQuire::guard_bits`].
+///   `4·max_scale + 2 + ⌈log2 k⌉ ≤ 63`, the `i128` sum when the same sum
+///   is `≤ 127`, and the 256-bit sum when it is `≤ 255` — one bit to spare
+///   below the sign bit, the same accounting as
+///   [`NarrowQuire::guard_bits`];
+/// * past 64 bits a word is split as `w = m · 2^s` ([`SigWord`]): the
+///   signed significand `|m| < 2^sig_bits` and the shift
+///   `s = max(0, t − (sig_bits − 1))` with `t = scale − min_scale ∈
+///   [0, 2·max_scale]`. The split is exact: a posit at scale `scale` has
+///   at most `sig_bits − 1` fraction bits, and every posit is a multiple of
+///   `2^min_scale`. A product `m_a·m_b · 2^(s_a + s_b)` adds into `i128`
+///   lane `(s_a + s_b) >> 6` shifted left by `(s_a + s_b) & 63`. Each
+///   such term is below `2^(2·sig_bits + 63)` in magnitude, so a lane's
+///   partial sum of at most `k` terms stays inside an `i128` when
+///   `2·sig_bits + 63 + ⌈log2 k⌉ ≤ 127` ([`lanes_fit`]). The lane index
+///   is at most 3, because `s_a + s_b ≤ 4·max_scale ≤ 253`. The fold
+///   `Σ lane_i · 2^(64·i)` is then the exact dot `Σ w_a·w_b`, inside 256
+///   bits by the bullet above. `m` fits an `i32` and `m_a·m_b` an `i64`:
+///   `sig_bits ≤ 30` for every `n ≤ 32`.
 ///
 /// The `i32` path covers posit(8,0) and posit(8,1); the `i64` path covers
 /// posit(8,2), posit(16,1), and the 8-bit formats past their `i64`
-/// budget. posit(16,2) (`2·max_scale = 112`) always takes the wide quire.
-/// The plane scale shifts never enter the budget: they move the fixed
-/// point, not the words.
+/// budget. posit(16,2) (`2·max_scale = 112`, 12 significand bits) takes
+/// the 256-bit path up to `k = 2^29`, and posit(16,1) takes it past its
+/// `i128` budget. The plane scale shifts never enter the budget: they
+/// move the fixed point, not the words.
 pub(crate) fn dot_bits(fmt: PositFormat, k: usize) -> Option<u32> {
     let max_scale = fmt.max_scale() as u32;
-    let need = 4 * max_scale + 2 + k.max(1).next_power_of_two().trailing_zeros();
+    let need = 4 * max_scale + 2 + clog2(k);
     if 2 * max_scale <= 30 && need <= 63 {
         Some(64)
     } else if 2 * max_scale <= 62 && need <= 127 {
         Some(128)
+    } else if need <= 255 && lanes_fit(fmt, k) {
+        Some(256)
     } else {
         None
     }
 }
 
-/// An integer word type of the fixed-point kernels and its exact sum.
+/// An exact fixed-point sum in units of `2^emin` that rounds once: the
+/// `i128` of the 64- and 128-bit tiers or the 256-bit [`Sum256`].
+pub(crate) trait Exact: Copy + Default + Send + Sync {
+    /// Round `self · 2^emin` (NaR when `nar`) to a code word of `fmt`.
+    fn round(self, fmt: PositFormat, emin: i32, nar: bool, rounding: Rounding) -> u64;
+}
+
+impl Exact for i128 {
+    #[inline]
+    fn round(self, fmt: PositFormat, emin: i32, nar: bool, rounding: Rounding) -> u64 {
+        let mut q = NarrowQuire::from_sum(fmt, emin, self);
+        if nar {
+            q.set_nar();
+        }
+        q.to_posit(rounding, 0)
+    }
+}
+
+impl Exact for Sum256 {
+    #[inline]
+    fn round(self, fmt: PositFormat, emin: i32, nar: bool, rounding: Rounding) -> u64 {
+        if nar {
+            fmt.nar_bits()
+        } else {
+            self.to_posit(fmt, emin, rounding, 0)
+        }
+    }
+}
+
+/// Where a plane's elements sit on the integer grid: `base = min_scale +
+/// e` for a plane shifted by `2^e` (the word is `value / 2^base`, the
+/// shift factored out), and the format's significand width.
+#[derive(Clone, Copy)]
+pub(crate) struct Grid {
+    base: i32,
+    sig_bits: u32,
+}
+
+impl Grid {
+    /// The grid of `plane`'s format and scale shift.
+    pub(crate) fn of(plane: &PositPlane) -> Grid {
+        Grid {
+            base: plane.fmt.min_scale() + plane.scale_exp,
+            sig_bits: sig_bits(plane.fmt),
+        }
+    }
+}
+
+/// An integer word type of the fixed-point kernels and its exact sums.
 pub(crate) trait Word: Copy + Default + Send + Sync {
-    /// The sum type: wide enough for every in-budget dot (see [`dot_bits`]).
+    /// A dot's register accumulator: wide enough for every in-budget dot
+    /// (see [`dot_bits`]).
     type Sum: Copy + Default;
-    /// Narrow an in-budget word.
-    fn from_i64(w: i64) -> Self;
-    /// `s + a·b`, widened before the multiply.
-    fn mac(s: Self::Sum, a: Self, b: Self) -> Self::Sum;
-    /// The sum as the rounding accumulator's `i128`.
-    fn widen(s: Self::Sum) -> i128;
+    /// The exact sum a dot folds into.
+    type Exact: Exact;
+    /// The word of one plane element on `grid`.
+    fn from_elem(e: Unpacked, grid: Grid) -> Self;
+    /// `s += a·b`, widened before the multiply.
+    fn mac(s: &mut Self::Sum, a: Self, b: Self);
+    /// `slot += s · 2^shift`.
+    fn add_sum(slot: &mut Self::Exact, s: Self::Sum, shift: u32);
+    /// `slot += w · 2^shift`.
+    fn add_word(slot: &mut Self::Exact, w: Self, shift: u32);
+    /// The dot `s` as an exact sum.
+    #[inline(always)]
+    fn exact(s: Self::Sum) -> Self::Exact {
+        let mut e = Self::Exact::default();
+        Self::add_sum(&mut e, s, 0);
+        e
+    }
 }
 
 impl Word for i32 {
     type Sum = i64;
+    type Exact = i128;
     #[inline(always)]
-    fn from_i64(w: i64) -> i32 {
-        w as i32
+    fn from_elem(e: Unpacked, grid: Grid) -> i32 {
+        word_of(e, 63 + grid.base) as i32
     }
     #[inline(always)]
-    fn mac(s: i64, a: i32, b: i32) -> i64 {
-        s + a as i64 * b as i64
+    fn mac(s: &mut i64, a: i32, b: i32) {
+        *s += a as i64 * b as i64;
     }
     #[inline(always)]
-    fn widen(s: i64) -> i128 {
-        s as i128
+    fn add_sum(slot: &mut i128, s: i64, shift: u32) {
+        *slot += (s as i128) << shift;
+    }
+    #[inline(always)]
+    fn add_word(slot: &mut i128, w: i32, shift: u32) {
+        *slot += (w as i128) << shift;
     }
 }
 
 impl Word for i64 {
     type Sum = i128;
+    type Exact = i128;
     #[inline(always)]
-    fn from_i64(w: i64) -> i64 {
-        w
+    fn from_elem(e: Unpacked, grid: Grid) -> i64 {
+        word_of(e, 63 + grid.base)
     }
     #[inline(always)]
-    fn mac(s: i128, a: i64, b: i64) -> i128 {
-        s + a as i128 * b as i128
+    fn mac(s: &mut i128, a: i64, b: i64) {
+        *s += a as i128 * b as i128;
     }
     #[inline(always)]
-    fn widen(s: i128) -> i128 {
-        s
+    fn add_sum(slot: &mut i128, s: i128, shift: u32) {
+        *slot += s << shift;
+    }
+    #[inline(always)]
+    fn add_word(slot: &mut i128, w: i64, shift: u32) {
+        *slot += (w as i128) << shift;
+    }
+}
+
+/// The word `w = m · 2^s` of the 256-bit tier, split into its signed
+/// significand and shift (see [`dot_bits`]).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct SigWord {
+    m: i32,
+    s: u32,
+}
+
+impl Word for SigWord {
+    type Sum = [i128; 4];
+    type Exact = Sum256;
+    #[inline(always)]
+    fn from_elem(e: Unpacked, grid: Grid) -> SigWord {
+        // `t = scale − min_scale`; zero and NaR carry no significand bits
+        // and sit at t = 0, which gives m = 0 and s = 0.
+        let t = if e.sig == 0 { 0 } else { e.scale - grid.base };
+        let s = (t - (grid.sig_bits as i32 - 1)).max(0);
+        let m = (e.sig >> (63 - t + s)) as i32;
+        SigWord {
+            m: if e.neg { -m } else { m },
+            s: s as u32,
+        }
+    }
+    #[inline(always)]
+    fn mac(lanes: &mut [i128; 4], a: SigWord, b: SigWord) {
+        let sh = a.s + b.s;
+        // `& 3` changes nothing (`sh ≤ 253`); it lets the index skip its
+        // bounds check.
+        lanes[(sh >> 6) as usize & 3] += ((a.m as i64 * b.m as i64) as i128) << (sh & 63);
+    }
+    #[inline]
+    fn add_sum(slot: &mut Sum256, lanes: [i128; 4], shift: u32) {
+        for (i, &lane) in lanes.iter().enumerate() {
+            slot.add_shifted(lane, 64 * i as u32 + shift);
+        }
+    }
+    #[inline]
+    fn add_word(slot: &mut Sum256, w: SigWord, shift: u32) {
+        slot.add_shifted(w.m as i128, w.s + shift);
     }
 }
 
@@ -571,7 +724,7 @@ pub(crate) struct WordPanel<W> {
 /// only zero bits; zero and NaR have no significand bits, so their word is
 /// 0 whatever the shift.
 #[inline(always)]
-pub(crate) fn word_of(e: Unpacked, base: i32) -> i64 {
+fn word_of(e: Unpacked, base: i32) -> i64 {
     let w = e.sig.wrapping_shr(base.wrapping_sub(e.scale) as u32) as i64;
     if e.neg {
         -w
@@ -585,9 +738,8 @@ impl<W: Word> WordPanel<W> {
     /// shift is factored out of the words: the caller moves the fixed
     /// point by it instead.
     pub(crate) fn build(side: Side<'_>, k: usize) -> WordPanel<W> {
-        let plane = side.plane;
-        let base = 63 + plane.fmt.min_scale() + plane.scale_exp;
-        let elems = plane.elems();
+        let grid = Grid::of(side.plane);
+        let elems = side.plane.elems();
         let rows = side.rows;
         let mut words = vec![W::default(); rows * k];
         let mut nar = vec![false; rows];
@@ -597,12 +749,12 @@ impl<W: Word> WordPanel<W> {
                 for (t, w) in dst.iter_mut().enumerate() {
                     let e = elems[t * rows + r];
                     nar[r] |= e.is_nar();
-                    *w = W::from_i64(word_of(e, base));
+                    *w = W::from_elem(e, grid);
                 }
             } else {
                 for (w, &e) in dst.iter_mut().zip(&elems[r * k..(r + 1) * k]) {
                     nar[r] |= e.is_nar();
-                    *w = W::from_i64(word_of(e, base));
+                    *w = W::from_elem(e, grid);
                 }
             }
         }
@@ -623,14 +775,14 @@ pub(crate) fn word_dots<W: Word, const TN: usize>(
     rows: usize,
     k: usize,
     n: usize,
-    mut out: impl FnMut(usize, usize, i128),
+    mut out: impl FnMut(usize, usize, W::Sum),
 ) {
     let dot = |x: &[W], y: &[W]| {
-        W::widen(
-            x.iter()
-                .zip(y)
-                .fold(W::Sum::default(), |s, (&p, &q)| W::mac(s, p, q)),
-        )
+        let mut s = W::Sum::default();
+        for (&p, &q) in x.iter().zip(y) {
+            W::mac(&mut s, p, q);
+        }
+        s
     };
     let row = |i: usize| &a[i * k..(i + 1) * k];
     let col = |j: usize| &b[j * k..(j + 1) * k];
@@ -645,13 +797,13 @@ pub(crate) fn word_dots<W: Word, const TN: usize>(
             for t in 0..k {
                 for (acc_row, x) in acc.iter_mut().zip(&xs) {
                     for (s, y) in acc_row.iter_mut().zip(&ys) {
-                        *s = W::mac(*s, x[t], y[t]);
+                        W::mac(s, x[t], y[t]);
                     }
                 }
             }
             for (r, acc_row) in acc.iter().enumerate() {
                 for (c, &s) in acc_row.iter().enumerate() {
-                    out(i + r, j + c, W::widen(s));
+                    out(i + r, j + c, s);
                 }
             }
             j += TN;
@@ -714,9 +866,10 @@ impl PositGemm {
 
     /// The width in bits of the integer sum a GEMM with reduction depth
     /// `k` accumulates each output in — `Some(64)` (`i32` words, `i64`
-    /// sums) or `Some(128)` (`i64` words, `i128` sums) — or `None` when it
-    /// takes the wide [`Quire`]. Plane scale shifts do not enter: they
-    /// move the fixed point, not the words.
+    /// sums), `Some(128)` (`i64` words, `i128` sums) or `Some(256)`
+    /// (significand words, four `i128` lanes folded into a [`Sum256`]) —
+    /// or `None` when it takes the wide [`Quire`]. Plane scale shifts do
+    /// not enter: they move the fixed point, not the words.
     pub fn dot_bits(&self, k: usize) -> Option<u32> {
         if self.force_wide {
             None
@@ -738,19 +891,11 @@ impl PositGemm {
     /// Round one exact output — `sum · 2^emin`, or NaR — to f32, through
     /// the store LUT when the format has one.
     #[inline]
-    fn store(&self, emin: i32, sum: i128, nar: bool, lut: Option<&[f32]>) -> f32 {
-        let mut q = NarrowQuire::from_sum(self.fmt, emin, sum);
-        if nar {
-            if posit_obs::enabled() {
-                gemm_obs().quire_nar.incr();
-            }
-            q.set_nar();
+    fn store<S: Exact>(&self, emin: i32, sum: S, nar: bool, lut: Option<&[f32]>) -> f32 {
+        if nar && posit_obs::enabled() {
+            gemm_obs().quire_nar.incr();
         }
-        let code = q.to_posit(self.rounding, 0);
-        match lut {
-            Some(l) => l[code as usize],
-            None => self.fmt.to_f32(code),
-        }
+        code_to_f32(self.fmt, lut, sum.round(self.fmt, emin, nar, self.rounding))
     }
 
     /// The shared body of every entry point: `c[m, n] += round(dot(a_i,
@@ -767,7 +912,8 @@ impl PositGemm {
         }
         match bits {
             Some(64) => self.gemm_words::<i32, 4>(m, k, n, a, b, c),
-            Some(_) => self.gemm_words::<i64, 2>(m, k, n, a, b, c),
+            Some(128) => self.gemm_words::<i64, 2>(m, k, n, a, b, c),
+            Some(_) => self.gemm_words::<SigWord, 4>(m, k, n, a, b, c),
             None => {
                 let margin = a.plane.quire_margin() + b.plane.quire_margin();
                 let (a_rows, b_cols) = (a.elems(k), b.elems(k));
@@ -802,7 +948,7 @@ impl PositGemm {
             let a_block = &ap.words[row0 * k..(row0 + rows) * k];
             word_dots::<W, TN>(a_block, &bp.words, rows, k, n, |i, j, sum| {
                 let nar = ap.nar[row0 + i] || bp.nar[j];
-                c_chunk[i * n + j] += self.store(emin, sum, nar, f32_lut);
+                c_chunk[i * n + j] += self.store(emin, W::exact(sum), nar, f32_lut);
             });
         });
     }
@@ -844,11 +990,7 @@ impl PositGemm {
                 if posit_obs::enabled() && q.is_nar() {
                     gemm_obs().quire_nar.incr();
                 }
-                let code = q.to_posit(self.rounding, 0);
-                c[i * n + j] += match f32_lut {
-                    Some(l) => l[code as usize],
-                    None => self.fmt.to_f32(code),
-                };
+                c[i * n + j] += code_to_f32(self.fmt, f32_lut, q.to_posit(self.rounding, 0));
             }
         }
     }
@@ -920,6 +1062,18 @@ impl PositGemm {
         assert_eq!(b_t.len(), n * k, "B^T length");
         assert_eq!(c.len(), m * n, "C length");
         self.gemm_sides(m, k, n, side(a, m, false), side(b_t, n, false), c);
+    }
+}
+
+/// A rounded code word of `fmt` as f32: through the store table `lut` of
+/// an `n ≤ 8` format, else through the decode tables
+/// ([`PositFormat::decode_fast`]) — bit-identical to
+/// [`PositFormat::to_f32`] either way.
+#[inline]
+pub(crate) fn code_to_f32(fmt: PositFormat, lut: Option<&[f32]>, code: u64) -> f32 {
+    match lut {
+        Some(l) => l[code as usize],
+        None => fmt.decode_fast(code).to_f64() as f32,
     }
 }
 
@@ -1006,6 +1160,53 @@ mod tests {
                     let want = posit::lut::fixed_word(fmt, fmt.decode(b));
                     assert_eq!(panel.nar[i], want.is_none(), "({n},{es}) {b:#x} e={e}");
                     assert_eq!(panel.words[i], want.unwrap_or(0), "({n},{es}) {b:#x} e={e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sig_words_split_every_code_exactly() {
+        // Every code word of the 256-bit tier's formats, NaR and zero
+        // included, through the LUT and scale-shifted packed decodes: the
+        // split `m · 2^s` must be the word `value / 2^min_scale` (as an
+        // i128: 2·max_scale ≤ 112 bits), with |m| < 2^sig_bits.
+        for (n, es) in [(16u32, 2u32), (16, 1), (10, 2)] {
+            let fmt = PositFormat::of(n, es);
+            let codes: Vec<u64> = (0..fmt.code_count()).collect();
+            let mut packed = crate::storage::PackedBits::for_format(fmt, codes.len());
+            for &b in &codes {
+                packed.push(b);
+            }
+            for (plane, e) in [
+                (PositPlane::from_bits(fmt, &codes), 0),
+                (PositPlane::from_packed(fmt, &packed, -8), -8),
+                (PositPlane::from_packed(fmt, &packed, 5), 5),
+            ] {
+                let panel = WordPanel::<SigWord>::build(side(&plane, codes.len(), false), 1);
+                for (i, &b) in codes.iter().enumerate() {
+                    let w = panel.words[i];
+                    let at = format!("({n},{es}) {b:#x} e={e}");
+                    assert!(w.m.unsigned_abs() < 1 << sig_bits(fmt), "{at}");
+                    let want = match fmt.decode(b) {
+                        PositValue::Finite(d) => {
+                            let t = d.scale - fmt.min_scale();
+                            let mag = if t >= 63 {
+                                (d.significand() as i128) << (t - 63)
+                            } else {
+                                assert!(d.significand().trailing_zeros() as i32 >= 63 - t, "{at}");
+                                (d.significand() >> (63 - t)) as i128
+                            };
+                            if d.sign.is_negative() {
+                                -mag
+                            } else {
+                                mag
+                            }
+                        }
+                        _ => 0,
+                    };
+                    assert_eq!(panel.nar[i], b == fmt.nar_bits(), "{at}");
+                    assert_eq!((w.m as i128) << w.s, want, "{at}");
                 }
             }
         }
@@ -1195,23 +1396,29 @@ mod tests {
 
     #[test]
     fn deep_reductions_fall_back_to_the_wide_quire() {
-        // (16,1) has 13 guard bits: K beyond 8192 must refuse the integer
-        // path automatically and still agree with the forced-wide kernel.
-        let fmt = PositFormat::of(16, 1);
-        let g = PositGemm::new(fmt, Rounding::NearestEven);
-        let k = 8200;
-        assert_eq!(g.dot_bits(k), None, "K guard must refuse");
-        assert!(g.dot_bits(8192).is_some(), "K at the guard limit is fine");
-        let av: Vec<f32> = (0..k)
-            .map(|i| if i % 2 == 0 { 0.5 } else { -0.5 })
-            .collect();
-        let bv: Vec<f32> = (0..k).map(|i| ((i % 5) as f32) * 0.25).collect();
-        let mut c_auto = vec![0.0f32; 1];
-        let mut c_wide = vec![0.0f32; 1];
-        g.gemm(1, k, 1, &plane(fmt, &av), &plane(fmt, &bv), &mut c_auto);
-        g.wide_accumulator(true)
-            .gemm(1, k, 1, &plane(fmt, &av), &plane(fmt, &bv), &mut c_wide);
-        assert_eq!(c_auto, c_wide);
+        // Past its i128 budget (K = 8192) a (16,1) dot moves to the 256-bit
+        // tier; a (32,1) dot's significand lanes hold K ≤ 64, and deeper
+        // ones take the wide quire. Every path agrees with the forced-wide
+        // kernel.
+        for (fmt, edge, last, next) in [
+            (PositFormat::of(16, 1), 8192, Some(128), Some(256)),
+            (PositFormat::of(32, 1), 64, Some(256), None),
+        ] {
+            let g = PositGemm::new(fmt, Rounding::NearestEven);
+            assert_eq!(g.dot_bits(edge), last, "{fmt} at the edge");
+            assert_eq!(g.dot_bits(edge + 1), next, "{fmt} past the edge");
+            let k = edge + 8;
+            let av: Vec<f32> = (0..k)
+                .map(|i| if i % 2 == 0 { 0.5 } else { -0.5 })
+                .collect();
+            let bv: Vec<f32> = (0..k).map(|i| ((i % 5) as f32) * 0.25).collect();
+            let mut c_auto = vec![0.0f32; 1];
+            let mut c_wide = vec![0.0f32; 1];
+            g.gemm(1, k, 1, &plane(fmt, &av), &plane(fmt, &bv), &mut c_auto);
+            g.wide_accumulator(true)
+                .gemm(1, k, 1, &plane(fmt, &av), &plane(fmt, &bv), &mut c_wide);
+            assert_eq!(c_auto, c_wide, "{fmt}");
+        }
     }
 
     #[test]

@@ -350,10 +350,9 @@ fn packed_plane_decode_matches_scalar_oracle() {
 
 /// Every pairwise product of every 8-bit training format (k = 1) through
 /// the integer kernel — `i32` words for es ≤ 1, `i64` words for es = 2 —
-/// must match the forced-wide quire bit for bit. (Named for the K-strip
-/// bucket kernel it first pinned; the shapes and formats are unchanged.)
+/// must match the forced-wide quire bit for bit.
 #[test]
-fn kstrip_pairwise_products_bitwise_agree() {
+fn integer_pairwise_products_bitwise_agree() {
     for fmt in NARROW_FMTS {
         let codes = finite_codes(fmt);
         let m = codes.len();
@@ -377,10 +376,9 @@ fn kstrip_pairwise_products_bitwise_agree() {
 /// Sampled posit(16,1) agreement at GEMM scale between the `i64`-word
 /// kernel and the forced-wide quire: register-tile interiors, row/column
 /// tails, zero and NaR lanes, and depths up to the `i128` budget edge
-/// (8192 = 2^13: `4·28 + 2 + 13 = 127`). (Named for the K-strip kernel it
-/// first pinned; the shapes are unchanged.)
+/// (8192 = 2^13: `4·28 + 2 + 13 = 127`).
 #[test]
-fn kstrip_sampled_p16_sweeps_agree() {
+fn sampled_p16e1_i64_sweeps_agree() {
     let fmt = PositFormat::of(16, 1);
     let mut state = 0xFACE_0FF5_1234_5678u64;
     for (m, k, n) in [
@@ -426,10 +424,9 @@ fn kstrip_sampled_p16_sweeps_agree() {
 
 /// Deep posit(8,1) reductions past the `i64`-sum budget (k > 8192) run
 /// `i64` words with `i128` sums and must match the forced-wide quire bit
-/// for bit. (Named for the K-strip kernel's multi-strip shapes, which
-/// these are.)
+/// for bit.
 #[test]
-fn kstrip_multi_strip_shapes_agree() {
+fn deep_p8e1_i128_sweeps_agree() {
     let fmt = PositFormat::of(8, 1);
     let mut state = 0xBEE5_0000_DEAD_10CCu64;
     for (m, k, n) in [(3usize, 8193usize, 4usize), (2, 16385, 3), (5, 12000, 2)] {
@@ -467,13 +464,13 @@ fn kstrip_multi_strip_shapes_agree() {
 /// maxpos² products — the largest sum the budget must hold — equal the
 /// wide quire, and one more product moves to the next path (posit(8,1):
 /// `i64` sums up to 2^13 products, then `i128`; posit(16,1): `i128` sums
-/// up to 2^13, then the wide quire). A minpos² term rides along so the
-/// rounding sees a sticky bit far below the leading one.
+/// up to 2^13, then 256 bits). A minpos² term rides along so the rounding
+/// sees a sticky bit far below the leading one.
 #[test]
 fn integer_budget_edges_match_the_wide_quire() {
     for (fmt, last, next) in [
         (PositFormat::of(8, 1), Some(64), Some(128)),
-        (PositFormat::of(16, 1), Some(128), None),
+        (PositFormat::of(16, 1), Some(128), Some(256)),
     ] {
         let k = 8192usize;
         let kernel = PositGemm::new(fmt, Rounding::NearestEven);
@@ -598,8 +595,8 @@ fn scale_shifted_p8e2_grad_accumulate_matches_exact_rationals() {
     let calls = [(2i32, -3i32), (-1, 1)];
     let margin = 5;
     for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+        assert_eq!(GradQuireBuf::sum_bits(fmt, margin, 2 * k), Some(128));
         let mut buf = GradQuireBuf::new(fmt, rounding, margin, 2 * k, m * n);
-        assert!(buf.is_narrow());
         let mut sums = vec![Rational::ZERO; m * n];
         for &(ea, eb) in &calls {
             let a_codes = windowed_codes(fmt, m * k, 8, &mut state);
@@ -732,6 +729,192 @@ fn sampled_p8_conv_matches_exact_rationals() {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Sampled posit(16,2) — the paper's 16-bit error format, on the 256-bit
+/// significand-lane path — against the exact rational reference, with the
+/// plane shifts perfbench's MLP sees (`−8/0` and `−7/0`), zero and NaR
+/// lanes, and both roundings: a GEMM over scale-shifted packed planes, and
+/// a `GradQuireBuf` fed two `ΔW` calls with different shifts plus a bias
+/// column sum, rounded once.
+#[test]
+fn sampled_p16e2_gemm_and_grad_match_exact_rationals() {
+    let fmt = PositFormat::of(16, 2);
+    let rounder = RefRounder::new(fmt);
+    let mut state = 0x0016_0002_5A3D_1E55u64;
+    let nar_at = |codes: &mut Vec<u64>, i: usize| codes[i] = fmt.nar_bits();
+    let is_nar = |codes: &[u64]| codes.contains(&fmt.nar_bits());
+
+    // GEMM: C[m,n] = A[m,k] · B_tᵀ, A shifted by 2^ea.
+    let (m, k, n) = (5usize, 32usize, 7usize);
+    for (ea, eb) in [(-8i32, 0i32), (-7, 0)] {
+        let mut a_codes = windowed_codes(fmt, m * k, 14, &mut state);
+        let bt_codes = windowed_codes(fmt, n * k, 14, &mut state);
+        nar_at(&mut a_codes, 3 * k + 5); // poisons row 3
+        let a = PositPlane::from_packed(fmt, &packed(fmt, &a_codes), ea);
+        let b_t = PositPlane::from_packed(fmt, &packed(fmt, &bt_codes), eb);
+        for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+            let kernel = PositGemm::new(fmt, rounding);
+            assert_eq!(kernel.dot_bits(k), Some(256));
+            let mut c = vec![0.0f32; m * n];
+            kernel.gemm_a_bt(m, k, n, &a, &b_t, &mut c);
+            for i in 0..m {
+                for j in 0..n {
+                    let (x, y) = (&a_codes[i * k..(i + 1) * k], &bt_codes[j * k..(j + 1) * k]);
+                    let got = c[i * n + j];
+                    let at = format!("shifts ({ea},{eb}) {rounding:?} ({i},{j})");
+                    if is_nar(x) {
+                        assert!(got.is_nan(), "{at}: NaR row gave {got}");
+                    } else {
+                        let want = shifted_dot_ref(fmt, x, y, ea + eb, rounding);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    // ΔW: buf[m,n] += Σ_t dY[t,i] · X[t,j] over two calls, then a bias
+    // column sum, all in one 256-bit buffer of margin 8.
+    let (m, k, n, margin) = (4usize, 16usize, 6usize, 8u32);
+    assert_eq!(GradQuireBuf::sum_bits(fmt, margin, 2 * k), Some(256));
+    for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+        let mut buf = GradQuireBuf::new(fmt, rounding, margin, 2 * k, m * n);
+        let mut sums = vec![Some(Rational::ZERO); m * n];
+        for (call, (ea, eb)) in [(-8i32, 0i32), (-7, 0)].into_iter().enumerate() {
+            let mut dy_codes = windowed_codes(fmt, k * m, 14, &mut state); // [k, m]
+            let x_codes = windowed_codes(fmt, k * n, 14, &mut state); // [k, n]
+            if call == 1 {
+                nar_at(&mut dy_codes, 9 * m + 2); // poisons output row 2
+            }
+            let dy = PositPlane::from_packed(fmt, &packed(fmt, &dy_codes), ea);
+            let x = PositPlane::from_packed(fmt, &packed(fmt, &x_codes), eb);
+            buf.accumulate_at_b(m, k, n, &dy, &x);
+            for i in 0..m {
+                for j in 0..n {
+                    let mut dot = Some(Rational::ZERO);
+                    for t in 0..k {
+                        let (p, q) = (dy_codes[t * m + i], x_codes[t * n + j]);
+                        dot = dot
+                            .filter(|_| p != fmt.nar_bits())
+                            .map(|d| d.add(&exact(fmt, p).mul(&exact(fmt, q))));
+                    }
+                    let shifted = dot.map(|d| d.mul(&Rational::dyadic(1, ea + eb)));
+                    sums[i * n + j] = sums[i * n + j].take().zip(shifted).map(|(s, d)| s.add(&d));
+                }
+            }
+        }
+        // A bias-style column sum over a plane shifted by 2^-8: every
+        // value lands as `x · 1`.
+        let b_codes = windowed_codes(fmt, 3 * m * n, 14, &mut state);
+        let b = PositPlane::from_packed(fmt, &packed(fmt, &b_codes), -8);
+        buf.accumulate_col_sums(3, m * n, &b);
+        for (idx, sum) in sums.iter_mut().enumerate() {
+            for r in 0..3 {
+                let v = exact(fmt, b_codes[r * m * n + idx]).mul(&Rational::dyadic(1, -8));
+                *sum = sum.take().map(|s| s.add(&v));
+            }
+        }
+        let mut got = vec![0.0f32; m * n];
+        buf.round_into(&mut got);
+        for (idx, sum) in sums.iter().enumerate() {
+            match sum {
+                None => assert!(got[idx].is_nan(), "{rounding:?} element {idx} must be NaR"),
+                Some(s) => {
+                    let want = fmt.to_f32(round_ref(&rounder, s, rounding));
+                    assert_eq!(
+                        got[idx].to_bits(),
+                        want.to_bits(),
+                        "{rounding:?} element {idx}"
+                    );
+                }
+            }
+        }
+        assert!(got.iter().any(|v| v.is_nan()) && got.iter().any(|v| *v != 0.0 && !v.is_nan()));
+    }
+}
+
+/// The 256-bit tier's two budget edges, each at the last depth it admits
+/// and one past it, where the dispatcher must hand the dot to the wide
+/// quire. posit(16,2) admits `k = 2^29`, too deep to run, so the edges
+/// are pinned on the formats that reach them at small depths:
+///
+/// * the 256-bit sum: posit(17,2) (`4·60 + 2 + 13 = 255` at `k = 8192`)
+///   with same-sign maxpos² terms, `2^253` in accumulator units, plus a
+///   minpos² term far below them, against the wide quire and the expected
+///   ±maxpos;
+/// * the `i128` lanes: posit(32,1) (`2·29 + 63 + 6 = 127` at `k = 64`)
+///   with full 29-bit significands whose shifts sum to 63, so every
+///   product lands at the top of one lane, against the wide quire and the
+///   f32 the exact sum rounds to (the kernels store f32, which holds
+///   neither rounding's 25-bit result exactly, so the two modes agree).
+#[test]
+fn sig_lane_budget_edges_match_the_wide_quire() {
+    let p17e2 = PositFormat::of(17, 2);
+    let k = 8192usize;
+    assert_eq!(
+        PositGemm::new(p17e2, Rounding::NearestEven).dot_bits(k),
+        Some(256)
+    );
+    assert_eq!(
+        PositGemm::new(p17e2, Rounding::NearestEven).dot_bits(k + 1),
+        None
+    );
+    for depth in [k, k + 1] {
+        for negative in [false, true] {
+            let top = p17e2.maxpos_bits();
+            let mut a_codes = vec![if negative { p17e2.negate(top) } else { top }; depth];
+            let mut b_codes = vec![top; depth];
+            a_codes[depth / 3] = p17e2.minpos_bits();
+            b_codes[depth / 3] = p17e2.minpos_bits();
+            let a = PositPlane::from_bits(p17e2, &a_codes);
+            let b = PositPlane::from_bits(p17e2, &b_codes);
+            for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+                let fast = PositGemm::new(p17e2, rounding);
+                let (mut c_fast, mut c_wide) = ([0.0f32], [0.0f32]);
+                fast.gemm(1, depth, 1, &a, &b, &mut c_fast);
+                fast.wide_accumulator(true)
+                    .gemm(1, depth, 1, &a, &b, &mut c_wide);
+                let at = format!("{p17e2} k={depth} negative={negative} {rounding:?}");
+                assert_eq!(c_fast, c_wide, "{at}");
+                let maxpos = p17e2.maxpos() as f32;
+                assert_eq!(c_fast[0], if negative { -maxpos } else { maxpos }, "{at}");
+            }
+        }
+    }
+
+    let p32e1 = PositFormat::of(32, 1);
+    let k = 64usize;
+    assert_eq!(
+        PositGemm::new(p32e1, Rounding::NearestEven).dot_bits(k),
+        Some(256)
+    );
+    assert_eq!(
+        PositGemm::new(p32e1, Rounding::NearestEven).dot_bits(k + 1),
+        None
+    );
+    let full = 2.0 - (-28f64).exp2(); // 1.111…1 with 28 fraction bits
+    let x = p32e1.from_f64(full / 2.0, Rounding::NearestEven); // scale −1
+    let y = p32e1.from_f64(full, Rounding::NearestEven); // scale 0
+    assert_eq!(p32e1.to_f64(x), full / 2.0);
+    for depth in [k, k + 1] {
+        for negative in [false, true] {
+            let a_codes = vec![if negative { p32e1.negate(x) } else { x }; depth];
+            let a = PositPlane::from_bits(p32e1, &a_codes);
+            let b = PositPlane::from_bits(p32e1, &vec![y; depth]);
+            let want = (depth as f64 * full / 2.0 * full) as f32;
+            for rounding in [Rounding::NearestEven, Rounding::ToZero] {
+                let fast = PositGemm::new(p32e1, rounding);
+                let (mut c_fast, mut c_wide) = ([0.0f32], [0.0f32]);
+                fast.gemm(1, depth, 1, &a, &b, &mut c_fast);
+                fast.wide_accumulator(true)
+                    .gemm(1, depth, 1, &a, &b, &mut c_wide);
+                let at = format!("{p32e1} k={depth} negative={negative} {rounding:?}");
+                assert_eq!(c_fast, c_wide, "{at}");
+                assert_eq!(c_fast[0], if negative { -want } else { want }, "{at}");
             }
         }
     }
